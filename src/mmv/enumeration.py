@@ -9,20 +9,33 @@ which every operation has an exact integer form:
 
     neg a    = m - a              impl a b = min(m, m - a + b)
     star a b = max(0, a + b - m)  oplus a b = min(m, a + b)
-    meet/join = min/max           box/dia   = min/max over the tuple axis
+    meet/join = min/max           box/dia   = min/max over the worlds
 
 The scaling k <-> k/m is an isomorphism onto the Fraction arithmetic in
 `mmv.core`, so results are exact; callers re-verify hits through the scalar
 route anyway.
 
+Each formula is compiled once per scan into a hash-consed op list in
+topological order: structurally equal subformulas share one op, and box/dia
+of a world-independent value is the value itself.  Blocks are world-major:
+variable v of assignment a at world w sits at `grid[v, w, a]`, so a value
+is an (n, A) array whose rows are worlds (or a (1, A) array once it no
+longer depends on the world), and box/dia are n-1 elementwise min/max over
+the rows.  Values are int16 (int64 for chains too long for int16 to hold
+2m).
+
 Assignment order within a cell is descending lexicographic: variables in
 sorted name order, coordinates left to right, values from 1 down to 0.  Index
-0 is the all-ones assignment.  Cells larger than the cap are sampled
-uniformly with a seeded generator instead of enumerated.
+0 is the all-ones assignment.  Exhaustive cells are decoded chunk by chunk
+into read-only grids kept in a least-recently-used cache bounded by
+`_GRID_CACHE_BYTES`, so the many formulas scanned over one cell share one
+decode.  Cells larger than the cap are sampled uniformly with a seeded
+generator instead of enumerated.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
@@ -31,7 +44,6 @@ import numpy as np
 
 from .core import MonadicElement
 from .syntax import (
-    BINARY_TYPES,
     Box,
     Const,
     Dia,
@@ -43,15 +55,194 @@ from .syntax import (
     Oplus,
     Star,
     Var,
-    variables,
 )
 
 _CHUNK = 1 << 16
+# Exhaustive cells are indexed in int64, so they must have fewer assignments.
+_INDEX_LIMIT = 2**63
+# Decoded exhaustive chunks kept between scans.  The largest chunk an
+# exhaustive cell can have is 62 digits x 2**16 assignments x 2 bytes (8 MB),
+# and the whole m, n, v <= 3 grid the audits scan is 5 MB.
+_GRID_CACHE_BYTES = 16 << 20
+
+_VAR, _CONST, _NOT, _BOX, _DIA, _IMPL, _STAR, _OPLUS, _MEET, _JOIN = range(10)
+_CODES = {
+    Not: _NOT, Box: _BOX, Dia: _DIA,
+    Impl: _IMPL, Star: _STAR, Oplus: _OPLUS, Meet: _MEET, Join: _JOIN,
+}
 
 
 def cell_size(m: int, n: int, nvars: int) -> int:
     """Number of assignments of nvars variables by n-tuples over the m-chain."""
     return (m + 1) ** (n * nvars)
+
+
+def check_cell(m: int, n: int, nvars: int, cap: int) -> bool:
+    """True when the cell is scanned in full, False when it is sampled.
+
+    Raises ValueError for a cell within the cap that has 2**63 or more
+    assignments: its indices would wrap in int64 and the scan would cover
+    the wrong grid.
+    """
+    total = cell_size(m, n, nvars)
+    if total > cap:
+        return False
+    if total >= _INDEX_LIMIT:
+        raise ValueError(
+            f"cell m={m}, n={n} with {nvars} variables has {total} assignments; "
+            f"an exhaustive scan needs fewer than 2**63 (lower the cap to sample it)"
+        )
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Compiled formulas
+
+
+@dataclass(frozen=True)
+class _Program:
+    """Hash-consed ops of several formulas, children before parents.
+
+    An op is (code, a, b): for a variable `a` is its slot in `names`, for a
+    constant 0 or 1; otherwise `a` and `b` (None for unary ops) are the
+    indices of the operands.  `steps[k]` lists, in order, the ops root k
+    needs that earlier roots do not.
+    """
+
+    names: tuple[str, ...]
+    ops: tuple[tuple[int, object, object], ...]
+    roots: tuple[int, ...]
+    steps: tuple[tuple[int, ...], ...]
+
+
+def _compile(formulas: Sequence[Formula]) -> _Program:
+    ops: list[tuple[int, object, object]] = []
+    flat: list[bool] = []  # does the op's value not depend on the world?
+    interned: dict[tuple, int] = {}
+    seen: dict[int, int] = {}  # id(node) -> op, so shared objects compile once
+
+    def intern(key: tuple, is_flat: bool) -> int:
+        index = interned.get(key)
+        if index is None:
+            index = interned[key] = len(ops)
+            ops.append(key)
+            flat.append(is_flat)
+        return index
+
+    def visit(f: Formula) -> int:
+        index = seen.get(id(f))
+        if index is not None:
+            return index
+        if isinstance(f, Var):
+            index = intern((_VAR, f.name, None), False)
+        elif isinstance(f, Const):
+            index = intern((_CONST, 1 if f.value else 0, None), True)
+        else:
+            code = _CODES.get(type(f))
+            if code is None:
+                raise TypeError(f"cannot evaluate {f!r}")
+            modal = code in (_BOX, _DIA)
+            if code == _NOT or modal:
+                args = (visit(f.arg), None)
+            else:
+                args = (visit(f.left), visit(f.right))
+            if modal and flat[args[0]]:
+                index = args[0]
+            else:
+                is_flat = modal or all(flat[a] for a in args if a is not None)
+                index = intern((code, *args), is_flat)
+        seen[id(f)] = index
+        return index
+
+    roots = tuple(visit(f) for f in formulas)
+    names = tuple(sorted({op[1] for op in ops if op[0] == _VAR}))
+    slot = {name: i for i, name in enumerate(names)}
+    ops = [(_VAR, slot[op[1]], None) if op[0] == _VAR else op for op in ops]
+
+    done: set[int] = set()
+    steps = []
+    for root in roots:
+        needed: set[int] = set()
+        stack = [root]
+        while stack:
+            index = stack.pop()
+            if index in done or index in needed:
+                continue
+            needed.add(index)
+            code, a, b = ops[index]
+            if code > _CONST:
+                stack.extend(c for c in (a, b) if c is not None)
+        done |= needed
+        steps.append(tuple(sorted(needed)))
+    return _Program(names, tuple(ops), roots, tuple(steps))
+
+
+def _fold_rows(ufunc: np.ufunc, value: np.ndarray) -> np.ndarray:
+    """Combine the world rows of an (n, A) block into one (1, A) row."""
+    if len(value) == 1:
+        return value
+    out = ufunc(value[0], value[1])
+    for row in value[2:]:
+        ufunc(out, row, out=out)
+    return out[None]
+
+
+def _consts(m: int, block: int, dtype: type) -> tuple[np.ndarray, np.ndarray]:
+    """The (1, A) rows of 0s and of ms."""
+    return np.zeros((1, block), dtype=dtype), np.full((1, block), m, dtype=dtype)
+
+
+def _run(
+    program: _Program,
+    root: int,
+    grid: Sequence[np.ndarray],
+    m: int,
+    consts: tuple[np.ndarray, np.ndarray],
+    values: list,
+) -> np.ndarray:
+    """Evaluate root `root` on a block; `values` carries ops across roots.
+
+    `grid[slot]` is the (n, A) block of the variable in that slot.  Every
+    op comes out as an (n, A) array, or (1, A) when it does not depend on
+    the world.  Clamping goes against the rows of 0s and ms, not against
+    scalars: numpy's min/max with a scalar operand are several times slower.
+    """
+    ops = program.ops
+    bottom, top = consts
+    for index in program.steps[root]:
+        code, a, b = ops[index]
+        if code == _VAR:
+            value = grid[a]
+        elif code == _CONST:
+            value = consts[a]
+        elif code == _NOT:
+            value = np.subtract(m, values[a])
+        elif code == _BOX:
+            value = _fold_rows(np.minimum, values[a])
+        elif code == _DIA:
+            value = _fold_rows(np.maximum, values[a])
+        elif code == _IMPL:
+            value = np.subtract(values[b], values[a])
+            value += m
+            np.minimum(value, top, out=value)
+        elif code == _STAR:
+            value = np.add(values[a], values[b])
+            value -= m
+            np.maximum(value, bottom, out=value)
+        elif code == _OPLUS:
+            value = np.add(values[a], values[b])
+            np.minimum(value, top, out=value)
+        elif code == _MEET:
+            value = np.minimum(values[a], values[b])
+        else:
+            value = np.maximum(values[a], values[b])
+        values[index] = value
+    return values[program.roots[root]]
+
+
+def _holds(value: np.ndarray, m: int) -> np.ndarray:
+    """Mask over the block: is the value 1 at every world?"""
+    return _fold_rows(np.minimum, value)[0] == m
 
 
 def eval_bulk(formula: Formula, arrays: Mapping[str, np.ndarray], m: int) -> np.ndarray:
@@ -60,67 +251,69 @@ def eval_bulk(formula: Formula, arrays: Mapping[str, np.ndarray], m: int) -> np.
     `arrays` maps each variable to an (A, n) integer array of scaled values.
     The result broadcasts against (A, n); constants come back 0-dimensional.
     """
-    memo: dict[Formula, np.ndarray] = {}
-
-    def walk(f: Formula) -> np.ndarray:
-        cached = memo.get(f)
-        if cached is not None:
-            return cached
-        if isinstance(f, Var):
-            try:
-                value = arrays[f.name]
-            except KeyError:
-                raise ValueError(f"no assignment block for variable {f.name!r}") from None
-        elif isinstance(f, Const):
-            value = np.int32(m if f.value else 0)
-        elif isinstance(f, Not):
-            value = m - walk(f.arg)
-        elif isinstance(f, Box):
-            arg = walk(f.arg)
-            value = arg if arg.ndim == 0 else arg.min(axis=1, keepdims=True)
-        elif isinstance(f, Dia):
-            arg = walk(f.arg)
-            value = arg if arg.ndim == 0 else arg.max(axis=1, keepdims=True)
-        elif isinstance(f, Impl):
-            value = np.minimum(m, m - walk(f.left) + walk(f.right))
-        elif isinstance(f, Star):
-            value = np.maximum(0, walk(f.left) + walk(f.right) - m)
-        elif isinstance(f, Oplus):
-            value = np.minimum(m, walk(f.left) + walk(f.right))
-        elif isinstance(f, Meet):
-            value = np.minimum(walk(f.left), walk(f.right))
-        elif isinstance(f, Join):
-            value = np.maximum(walk(f.left), walk(f.right))
-        else:
-            raise TypeError(f"cannot evaluate {f!r}")
-        memo[f] = value
-        return value
-
-    return walk(formula)
+    program = _compile([formula])
+    try:
+        grid = [np.asarray(arrays[name]).T for name in program.names]
+    except KeyError as exc:
+        raise ValueError(f"no assignment block for variable {exc.args[0]!r}") from None
+    consts = _consts(m, grid[0].shape[-1] if grid else 1, np.result_type(np.int32, *grid))
+    value = _run(program, 0, grid, m, consts, [None] * len(program.ops))
+    return value.T if grid else value.reshape(())
 
 
-def _ones_mask(result: np.ndarray, block: int, m: int) -> np.ndarray:
-    """(A,) boolean mask: does the formula take value 1 at every world?"""
-    if result.ndim == 0:
-        return np.full(block, bool(result == m))
-    return np.all(result == m, axis=1)
+# ---------------------------------------------------------------------------
+# Grids
 
 
-def _decode_block(
-    indices: np.ndarray, m: int, n: int, names: Sequence[str]
-) -> dict[str, np.ndarray]:
-    """Mixed-radix decode of assignment indices into per-variable blocks.
+def _dtype(m: int) -> type:
+    """int16 when it holds every intermediate value, -m .. 2m; int64 otherwise."""
+    return np.int16 if 2 * m <= np.iinfo(np.int16).max else np.int64
+
+
+def _decode(m: int, n: int, nvars: int, start: int, stop: int) -> np.ndarray:
+    """Read-only (nvars, n, A) grid of the assignments with indices start..stop-1.
 
     Digit d at a position encodes scaled value m - d, so index 0 is the
     all-ones assignment and the order is descending lexicographic.
     """
-    digits_total = n * len(names)
     radix = m + 1
-    powers = radix ** np.arange(digits_total - 1, -1, -1, dtype=np.int64)
-    digits = (indices[:, None] // powers[None, :]) % radix
-    values = (m - digits).astype(np.int32)
-    block = values.reshape(len(indices), len(names), n)
-    return {name: block[:, i, :] for i, name in enumerate(names)}
+    rest = np.arange(start, stop, dtype=np.int64)
+    grid = np.empty((n * nvars, stop - start), dtype=_dtype(m))
+    for position in range(n * nvars - 1, -1, -1):
+        rest, digit = np.divmod(rest, radix)
+        np.subtract(m, digit, out=grid[position], casting="unsafe")
+    grid = grid.reshape(nvars, n, stop - start)
+    grid.flags.writeable = False
+    return grid
+
+
+class _GridCache:
+    """Decoded exhaustive chunks, least recently used first, bounded in bytes."""
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._chunks: OrderedDict[tuple[int, ...], np.ndarray] = OrderedDict()
+
+    def get(self, m: int, n: int, nvars: int, start: int, stop: int) -> np.ndarray:
+        key = (m, n, nvars, start, stop)
+        grid = self._chunks.get(key)
+        if grid is not None:
+            self._chunks.move_to_end(key)
+            return grid
+        grid = self._chunks[key] = _decode(m, n, nvars, start, stop)
+        self.nbytes += grid.nbytes
+        while self.nbytes > self.max_bytes and len(self._chunks) > 1:
+            _, old = self._chunks.popitem(last=False)
+            self.nbytes -= old.nbytes
+        return grid
+
+    def clear(self) -> None:
+        self._chunks.clear()
+        self.nbytes = 0
+
+
+_GRIDS = _GridCache(_GRID_CACHE_BYTES)
 
 
 def _index_to_valuation(
@@ -152,31 +345,26 @@ class CellResult:
 
 
 def _scan_blocks(
-    m: int, n: int, names: Sequence[str], cap: int, seed: object
-) -> Iterator[tuple[dict[str, np.ndarray], np.ndarray | None, int]]:
-    """Yield (arrays, indices, block_size) blocks, exhaustive or sampled.
+    m: int, n: int, nvars: int, cap: int, seed: object, exhaustive: bool
+) -> Iterator[tuple[int | None, np.ndarray]]:
+    """Yield (start, grid) blocks, exhaustive or sampled.
 
-    `indices` is None for sampled blocks; valuations are then read off the
-    arrays directly.
+    `start` is the index of the block's first assignment, or None for
+    sampled blocks, whose valuations are read off the grid directly.
     """
-    total = cell_size(m, n, len(names))
-    if total <= cap:
-        start = 0
-        while start < total:
-            stop = min(start + _CHUNK, total)
-            indices = np.arange(start, stop, dtype=np.int64)
-            yield _decode_block(indices, m, n, names), indices, stop - start
-            start = stop
+    if exhaustive:
+        total = cell_size(m, n, nvars)
+        for start in range(0, total, _CHUNK):
+            yield start, _GRIDS.get(m, n, nvars, start, min(start + _CHUNK, total))
     else:
         rng = np.random.default_rng(seed)
         remaining = cap
         while remaining > 0:
             block = min(_CHUNK, remaining)
-            arrays = {
-                name: rng.integers(0, m + 1, size=(block, n), dtype=np.int32)
-                for name in names
-            }
-            yield arrays, None, block
+            grid = np.empty((nvars, n, block), dtype=_dtype(m))
+            for slot in range(nvars):
+                grid[slot] = rng.integers(0, m + 1, size=(block, n), dtype=np.int32).T
+            yield None, grid
             remaining -= block
 
 
@@ -192,29 +380,33 @@ def scan_cell(
 
     "Holds" means value 1 at every world.  Scans the whole cell when its size
     is within the cap, otherwise samples `cap` assignments with the seed.
-    Returns the first hit in scan order.
+    Returns the first hit in scan order.  Raises ValueError for a cell
+    within the cap too large to index (see `check_cell`).
     """
-    names = sorted(set().union(*(variables(f) for f in (*premises, target))))
-    total = cell_size(m, n, len(names))
-    exhaustive = total <= cap
+    program = _compile([*premises, target])
+    names = program.names
+    exhaustive = check_cell(m, n, len(names), cap)
     checked = 0
-    for arrays, indices, block in _scan_blocks(m, n, names, cap, seed):
+    for start, grid in _scan_blocks(m, n, len(names), cap, seed, exhaustive):
+        block = grid.shape[-1]
+        consts = _consts(m, block, grid.dtype)
+        values: list = [None] * len(program.ops)
         mask = np.ones(block, dtype=bool)
-        for premise in premises:
-            mask &= _ones_mask(eval_bulk(premise, arrays, m), block, m)
+        for k in range(len(premises)):
+            mask &= _holds(_run(program, k, grid, m, consts, values), m)
             if not mask.any():
                 break
         if mask.any():
-            mask &= ~_ones_mask(eval_bulk(target, arrays, m), block, m)
+            mask &= ~_holds(_run(program, len(premises), grid, m, consts, values), m)
             if mask.any():
                 hit = int(np.argmax(mask))
                 checked += hit + 1
-                if indices is not None:
-                    valuation = _index_to_valuation(int(indices[hit]), m, n, names)
+                if start is not None:
+                    valuation = _index_to_valuation(start + hit, m, n, names)
                 else:
                     valuation = {
-                        name: tuple(Fraction(int(v), m) for v in arrays[name][hit])
-                        for name in names
+                        name: tuple(Fraction(int(v), m) for v in grid[slot, :, hit])
+                        for slot, name in enumerate(names)
                     }
                 return CellResult(True, valuation, checked, exhaustive)
         checked += block

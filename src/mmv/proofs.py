@@ -42,6 +42,7 @@ from .syntax import (
     print_formula,
     schema,
     substitute,
+    variables,
 )
 
 ACCEPT = "accept"
@@ -559,13 +560,15 @@ def axiom_soundness_audit(
     Every cell (m, n) with m <= m_max, n <= n_max is enumerated exhaustively
     when it has at most `cap` assignments and sampled uniformly otherwise.
     Violations are re-verified through the exact scalar route before being
-    reported.
+    reported.  Raises ValueError before scanning any cell when one within the
+    cap is too large to index (see `enumeration.check_cell`).
     """
     if axioms is None:
         axioms = DEFAULT_AXIOMS
     report = AxiomAuditReport(m_max=m_max, n_max=n_max, cap=cap, seed=seed, trials=trials)
     rng = random.Random(seed)
-    for schema_index, (name, pattern) in enumerate(axioms.items()):
+    drawn: dict[str, tuple[list[Formula], dict[Formula, list[int]]]] = {}
+    for name, pattern in axioms.items():
         instances = [
             random_instance(rng, pattern, names, max_depth) for _ in range(trials)
         ]
@@ -573,6 +576,12 @@ def axiom_soundness_audit(
         unique: dict[Formula, list[int]] = {}
         for offset, instance in enumerate(instances):
             unique.setdefault(instance, []).append(offset)
+        drawn[name] = instances, unique
+    for nvars in {len(variables(f)) for _, unique in drawn.values() for f in unique}:
+        for m in range(1, m_max + 1):
+            for n in range(1, n_max + 1):
+                enumeration.check_cell(m, n, nvars, cap)
+    for schema_index, (name, (instances, unique)) in enumerate(drawn.items()):
         work = [(offsets[0], instance) for instance, offsets in unique.items()]
         seed_base = (seed, schema_index)
         checked = 0

@@ -163,10 +163,14 @@ def refute(
     Returns the first verified countermodel in cell order, or an exhausted
     report.  With jobs > 1 cells are scanned in parallel waves; the winner is
     still the first cell in order, so results do not depend on jobs.
+    Raises ValueError before scanning any cell when one within the cap is
+    too large to index (see `enumeration.check_cell`).
     """
     premises = tuple(premises)
     names = sorted(set().union(*(variables(f) for f in (*premises, conclusion))))
     cells = _cells(budget, len(names))
+    for m, n in cells:
+        enumeration.check_cell(m, n, len(names), budget.valuation_cap)
     visited: list[tuple[int, int]] = []
     assignments = 0
 

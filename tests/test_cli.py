@@ -182,6 +182,18 @@ def test_refute_honors_seed_env(runner):
     assert json.loads(result.output)["seed"] == 42
 
 
+def test_refute_rejects_cap_too_large_to_index(runner):
+    # 3**42 assignments at m=2, n=3 fit under the cap but not in int64
+    formula = " \\/ ".join(f"p{i}" for i in range(14))
+    result = runner.invoke(
+        main,
+        ["refute", "--formula", formula, "--m-max", "2", "--cap", str(3**42)],
+    )
+    assert result.exit_code == 2
+    assert "2**63" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 def test_refute_with_gamma_file(runner):
     result = invoke(
         runner,

@@ -1,15 +1,17 @@
 """Bulk grid scans: exactness against the scalar route and scan-order pins."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from mmv import core
+from mmv import core, enumeration
 from mmv.enumeration import cell_size, eval_bulk, scan_cell
-from mmv.randgen import random_formula
-from mmv.syntax import parse
+from mmv.proofs import DEFAULT_AXIOMS
+from mmv.randgen import random_formula, random_instance
+from mmv.syntax import parse, variables
 
 
 def test_cell_sizes():
@@ -58,9 +60,112 @@ def test_sampled_scan_is_deterministic_and_verified():
     second = scan_cell([], target, m=3, n=3, cap=50, seed=7)
     assert first.valuation == second.valuation
     assert not first.exhaustive
-    if first.found:
-        value = core.eval_in_power(target, first.valuation, 3)
-        assert any(v != 1 for v in value)
+    # the seed stream is part of the contract: these are the values the
+    # int32 draws in sorted name order have always produced
+    assert first.found
+    assert first.valuation == {"p": (F(1), F(2, 3), F(2, 3))}
+    assert first.checked == 1
+    value = core.eval_in_power(target, first.valuation, 3)
+    assert any(v != 1 for v in value)
+    # a hit in the second sampled block, behind three premises
+    premises = [parse("[]p"), parse("[]q"), parse("[](r -> ~r)")]
+    deep = scan_cell(premises, parse("<>s -> []s"), m=3, n=3, cap=150_000, seed=8)
+    assert deep.found and not deep.exhaustive
+    assert deep.checked == 90886
+    assert deep.valuation == {
+        "p": (F(1), F(1), F(1)),
+        "q": (F(1), F(1), F(1)),
+        "r": (F(1, 3), F(1, 3), F(0)),
+        "s": (F(1, 3), F(2, 3), F(0)),
+    }
+
+
+def test_cached_grids_are_read_only_and_shared_safely():
+    first_target = parse("p -> q")
+    second_target = parse("[](p /\\ q) -> <>(q /\\ p)")
+    expected = []
+    for target in (first_target, second_target):
+        enumeration._GRIDS.clear()
+        expected.append(scan_cell([], target, m=2, n=2, cap=10**4, seed=0))
+    enumeration._GRIDS.clear()
+    got = [scan_cell([], t, m=2, n=2, cap=10**4, seed=0) for t in (first_target, second_target)]
+    assert got == expected
+    assert expected[0].found and not expected[1].found
+    grid = enumeration._GRIDS.get(2, 2, 2, 0, 81)
+    assert grid.shape == (2, 2, 81)
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError):
+        grid[0, 0, 0] = 0
+
+
+def test_grid_cache_stays_within_its_byte_bound():
+    cache = enumeration._GridCache(max_bytes=2500)
+    for m in (1, 2, 3):
+        grid = cache.get(m, 2, 2, 0, cell_size(m, 2, 2))
+        assert cache.nbytes == sum(g.nbytes for g in cache._chunks.values())
+        assert cache.nbytes <= 2500 or len(cache._chunks) == 1
+        assert grid is cache.get(m, 2, 2, 0, cell_size(m, 2, 2))
+    # 16, 81 and 256 assignments x 4 digits x 2 bytes: the last grid evicts both
+    assert list(cache._chunks) == [(3, 2, 2, 0, 256)]
+
+
+def test_exhaustive_scan_refuses_cells_too_large_to_index():
+    # 14 variables at m=2, n=3: 3**42 > 2**63 assignments, all within the cap
+    target = parse(" \\/ ".join(f"p{i}" for i in range(14)))
+    with pytest.raises(ValueError, match="2\\*\\*63"):
+        scan_cell([], target, m=2, n=3, cap=3**42, seed=0)
+    # the same cell is sampled under a smaller cap
+    assert not enumeration.check_cell(2, 3, 14, 10**6)
+    assert enumeration.check_cell(2, 3, 1, 3**42)
+
+
+def _scalar_scan(premises, target, m, n):
+    """Reference scan: every assignment in descending lexicographic order,
+    evaluated with exact Fractions."""
+    names = sorted(set().union(*(variables(f) for f in (*premises, target))))
+    chain = [F(k, m) for k in range(m, -1, -1)]
+    checked = 0
+    for digits in itertools.product(chain, repeat=n * len(names)):
+        checked += 1
+        valuation = {name: digits[i * n : (i + 1) * n] for i, name in enumerate(names)}
+        holds = all(
+            all(v == 1 for v in core.eval_in_power(p, valuation, n)) for p in premises
+        )
+        if holds and any(v != 1 for v in core.eval_in_power(target, valuation, n)):
+            return True, valuation, checked
+    return False, None, checked
+
+
+_CONSTANT_TARGETS = ("1 -> 0", "[](0 (+) ~0)", "<>1 * ~(1 /\\ 0)", "0 \\/ []~1")
+
+
+@pytest.mark.parametrize("m", (1, 2, 3))
+@pytest.mark.parametrize("n", (1, 2, 3))
+@pytest.mark.parametrize("v", (0, 1, 2))
+def test_scan_matches_scalar_brute_force(m, n, v, monkeypatch):
+    rng = random.Random(100 * m + 10 * n + v)
+    names = ("p", "q")[:v]
+    schemas = list(DEFAULT_AXIOMS.values())
+    cases = []
+    for index in range(4):
+        if v == 0:
+            target = parse(_CONSTANT_TARGETS[index])
+        elif index == 3:
+            target = random_instance(rng, rng.choice(schemas), names, max_depth=2)
+        else:
+            target = random_formula(rng, names, max_depth=3)
+        count = rng.randint(0, 2) if v else 0
+        premises = [random_formula(rng, names, max_depth=2) for _ in range(count)]
+        cases.append((premises, target))
+    for premises, target in cases:
+        expected = _scalar_scan(premises, target, m, n)
+        for chunk in (enumeration._CHUNK, 5):
+            monkeypatch.setattr(enumeration, "_CHUNK", chunk)
+            enumeration._GRIDS.clear()
+            got = scan_cell(premises, target, m, n, cap=10**4, seed=0)
+            assert got.exhaustive
+            assert (got.found, got.valuation, got.checked) == expected
+    enumeration._GRIDS.clear()
 
 
 @pytest.mark.parametrize("seed", range(20))

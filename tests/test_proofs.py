@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from mmv import enumeration
 from mmv.proofs import (
     ACCEPT,
     ACCEPT_BOUNDED,
@@ -360,6 +361,19 @@ def test_axiom_audit_parallel_matches_serial():
         trials=2, m_max=2, n_max=2, cap=10**5, seed=3, jobs=2
     )
     assert serial.to_json() == parallel.to_json()
+
+
+def test_axiom_audit_rejects_unindexable_cells_before_scanning(monkeypatch):
+    wide = parse(" \\/ ".join(f"p{i}" for i in range(14)))
+
+    def no_scan(*args):
+        raise AssertionError("scanned a cell before checking them all")
+
+    monkeypatch.setattr(enumeration, "scan_cell", no_scan)
+    with pytest.raises(ValueError, match="2\\*\\*63"):
+        axiom_soundness_audit(
+            trials=2, m_max=2, n_max=3, cap=3**42, axioms={"T": schema("phi -> phi"), "WIDE": wide}
+        )
 
 
 def test_axiom_audit_flags_unsound_schema():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from mmv import enumeration
 from mmv.search import (
     EXHAUSTED_CAVEAT,
     SearchBudget,
@@ -90,6 +91,20 @@ def test_width_one_search_exhausts_single_world_cells():
     )
     assert not report.found
     assert report.cells == [(1, 1), (2, 1)]
+
+
+def test_refute_rejects_unindexable_cells_before_scanning(monkeypatch):
+    # 14 variables: cell (2, 3) has 3**42 > 2**63 assignments, within the cap,
+    # but cell (1, 1) comes first in cell order and must not be scanned
+    conclusion = parse(" \\/ ".join(f"p{i}" for i in range(14)))
+
+    def no_scan(*args):
+        raise AssertionError("scanned a cell before checking them all")
+
+    monkeypatch.setattr(enumeration, "scan_cell", no_scan)
+    budget = SearchBudget(m_max=2, n_max=3, valuation_cap=3**42)
+    with pytest.raises(ValueError, match="2\\*\\*63"):
+        refute([], conclusion, budget)
 
 
 def test_width_k_requires_positive_k():
