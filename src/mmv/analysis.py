@@ -16,6 +16,27 @@ graph, the radical is the intersection of the maximal filters, simple
 algebras get a concrete coordinatewise embedding indexed by their maximal
 filters, and finite witnessed families of rational-valued functions embed
 into a single finite power via a common-denominator chain.
+
+Element arithmetic runs on integers.  A family of tuples of rationals is one
+(size, n) integer array over a common denominator D, the value k/D held as
+k: D = m for the carriers inside L_m^n, and the lcm of the denominators
+involved for the two verifiers.  Every operation has an exact integer form
+
+    neg a    = D - a              impl a b = min(D, D - a + b)
+    star a b = max(0, a + b - D)  oplus a b = min(D, a + b)
+    meet/join = min/max           forall/exists = row min/max
+
+and the scaling k <-> k/D is an isomorphism onto the Fraction arithmetic in
+`mmv.core` (it is linear and keeps the order), so results are exact.  Whole
+families are combined pair by pair through numpy broadcasting, in blocks of
+at most `_BLOCK` pairs.  A row is identified by its mixed-radix key in base
+D+1, first coordinate most significant, so keys sort like the tuples.  No
+intermediate exceeds 2D, nor a key (D+1)^n; an array is int64 when its bound
+passes `2 * bound < 2**62` and holds Python integers (dtype object)
+otherwise, so nothing overflows silently.  Fractions appear only at the
+boundary: carriers, labels and the mappings of representations and
+embeddings.  Tables are index arrays, so `validate` checks each identity for
+all elements at once by fancy indexing.
 """
 
 from __future__ import annotations
@@ -26,11 +47,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from . import core
 from .core import MonadicElement
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# Pairs (or triples) per block in the pairwise kernels: a candidate block of
+# the closure holds at most 2 * _BLOCK rows.
+_BLOCK = 1 << 16
 
 
 class AlgebraError(ValueError):
@@ -60,6 +87,84 @@ class Violation:
 
 def _element_label(element: MonadicElement) -> str:
     return "(" + ", ".join(core.format_rational(v) for v in element) + ")"
+
+
+# ---------------------------------------------------------------------------
+# Scaled-integer kernels
+
+
+def _dtype(bound: int):
+    """int64 when every intermediate (below 2 * bound) fits, else Python ints."""
+    return np.int64 if 2 * bound < 2**62 else object
+
+
+def _scaled(
+    elements: Sequence[MonadicElement], width: int, denominator: int | None = None
+) -> tuple[np.ndarray, int]:
+    """The (len(elements), width) array of numerators over one denominator D.
+
+    D is `denominator` when given (every value must then be a multiple of
+    1/D), otherwise the lcm of the values' denominators.
+    """
+    if denominator is None:
+        denominator = math.lcm(1, *(v.denominator for e in elements for v in e))
+    rows = [[v.numerator * (denominator // v.denominator) for v in e] for e in elements]
+    array = np.array(rows, dtype=_dtype(denominator)).reshape(len(rows), width)
+    return array, denominator
+
+
+def _fractions(row: np.ndarray, denominator: int) -> MonadicElement:
+    return tuple(Fraction(int(k), denominator) for k in row)
+
+
+def _keys(rows: np.ndarray, base: int) -> np.ndarray:
+    """Mixed-radix key of each row of digits in [0, base), first digit first.
+
+    Keys order like the rows do lexicographically.
+    """
+    width = rows.shape[-1]
+    dtype = _dtype(base**width)
+    keys = np.zeros(rows.shape[:-1], dtype=dtype)
+    for column in range(width):
+        keys = keys * base + rows[..., column].astype(dtype)
+    return keys
+
+
+def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Position of each key in `sorted_keys`, or -1 where it is absent."""
+    at = np.searchsorted(sorted_keys, keys)
+    found = at < len(sorted_keys)
+    found[found] = sorted_keys[at[found]] == keys[found]
+    return np.where(found, at, -1)
+
+
+def _first(failed: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first true entry in row-major order, if there is one."""
+    flat = np.flatnonzero(failed)
+    if not len(flat):
+        return None
+    return tuple(int(i) for i in np.unravel_index(flat[0], failed.shape))
+
+
+def _impl(a, b, d):
+    return np.minimum(d, d - a + b)
+
+
+# Binary operations on numerators over the denominator d.
+_INT_OPS = {
+    "impl": _impl,
+    "star": lambda a, b, d: np.maximum(0, a + b - d),
+    "oplus": lambda a, b, d: np.minimum(d, a + b),
+    "meet": lambda a, b, d: np.minimum(a, b),
+    "join": lambda a, b, d: np.maximum(a, b),
+}
+
+
+def _row_blocks(rows: int, pairs_per_row: int) -> Iterable[slice]:
+    """Slices of `range(rows)` holding at most `_BLOCK` pairs (at least one row)."""
+    step = max(1, _BLOCK // max(1, pairs_per_row))
+    for start in range(0, rows, step):
+        yield slice(start, min(rows, start + step))
 
 
 class FiniteMonadicAlgebra:
@@ -105,20 +210,28 @@ class FiniteMonadicAlgebra:
         if self.carrier is not None and len(self.carrier) != size:
             raise AlgebraError("carrier does not match label count")
 
-        rng = range(size)
-        self.neg_table = tuple(self.impl_table[a][zero] for a in rng)
+        impl_a = np.array(self.impl_table, dtype=np.int32).reshape(size, size)
+        exists_a = np.array(self.exists_table, dtype=np.int32)
+        neg = impl_a[:, zero]
+        join = impl_a[impl_a, np.arange(size)]
+        # index arrays of the tables, read by validate and the verifiers
+        self._arrays = {
+            "impl": impl_a,
+            "neg": neg,
+            "oplus": impl_a[neg],
+            "star": neg[impl_a[:, neg]],
+            "join": join,
+            "meet": neg[join[np.ix_(neg, neg)]],
+            "exists": exists_a,
+            "forall": neg[exists_a[neg]],
+        }
+        self.neg_table = tuple(neg.tolist())
         self.one = self.neg_table[zero]
-        neg = self.neg_table
-        impl_t = self.impl_table
-        self.oplus_table = tuple(tuple(impl_t[neg[a]][b] for b in rng) for a in rng)
-        self.star_table = tuple(
-            tuple(neg[impl_t[a][neg[b]]] for b in rng) for a in rng
+        self.oplus_table, self.star_table, self.join_table, self.meet_table = (
+            tuple(map(tuple, self._arrays[name].tolist()))
+            for name in ("oplus", "star", "join", "meet")
         )
-        self.join_table = tuple(tuple(impl_t[impl_t[a][b]][b] for b in rng) for a in rng)
-        self.meet_table = tuple(
-            tuple(neg[self.join_table[neg[a]][neg[b]]] for b in rng) for a in rng
-        )
-        self.forall_table = tuple(neg[self.exists_table[neg[a]]] for a in rng)
+        self.forall_table = tuple(self._arrays["forall"].tolist())
 
         if check:
             violations = self.validate()
@@ -175,37 +288,41 @@ class FiniteMonadicAlgebra:
                 raise AlgebraError(
                     f"element {_element_label(element)} is not an n-tuple over the m-chain"
                 )
-        index = {element: i for i, element in enumerate(carrier)}
-        zero_element = core.const_tuple(_ZERO, n)
-        if zero_element not in index:
+        # the zero tuple is the least element, so it comes first if present
+        if carrier[0] != core.const_tuple(_ZERO, n):
             raise AlgebraError("carrier lacks the zero tuple")
 
-        def lookup(element: MonadicElement, description: str) -> int:
-            found = index.get(element)
-            if found is None:
-                raise AlgebraError(
-                    f"carrier is not closed: {description} gives {_element_label(element)}"
-                )
-            return found
+        def not_closed(description: str, row: np.ndarray) -> AlgebraError:
+            return AlgebraError(
+                f"carrier is not closed: {description} gives "
+                f"{_element_label(_fractions(row, m))}"
+            )
 
-        impl = [
-            [
-                lookup(
-                    core.power_binop("impl", a, b),
-                    f"{_element_label(a)} -> {_element_label(b)}",
+        rows, _ = _scaled(carrier, n, m)
+        keys = _keys(rows, m + 1)  # ascending, since the carrier is sorted
+        size = len(carrier)
+        impl = np.empty((size, size), dtype=np.intp)
+        for block in _row_blocks(size, size):
+            found = _find(keys, _keys(_impl(rows[block, None], rows, m), m + 1))
+            missing = _first(found < 0)
+            if missing is not None:
+                a, b = block.start + missing[0], missing[1]
+                raise not_closed(
+                    f"{_element_label(carrier[a])} -> {_element_label(carrier[b])}",
+                    _impl(rows[a], rows[b], m),
                 )
-                for b in carrier
-            ]
-            for a in carrier
-        ]
-        exists = [
-            lookup(core.exists_sup(a), f"exists {_element_label(a)}") for a in carrier
-        ]
+            impl[block] = found
+        sups = np.repeat(rows.max(axis=1, keepdims=True), n, axis=1)
+        exists = _find(keys, _keys(sups, m + 1))
+        missing = _first(exists < 0)
+        if missing is not None:
+            a = missing[0]
+            raise not_closed(f"exists {_element_label(carrier[a])}", sups[a])
         return cls(
             labels=[_element_label(e) for e in carrier],
-            impl=impl,
-            zero=index[zero_element],
-            exists=exists,
+            impl=impl.tolist(),
+            zero=0,
+            exists=exists.tolist(),
             m=m,
             n=n,
             carrier=carrier,
@@ -218,55 +335,64 @@ class FiniteMonadicAlgebra:
     def validate(self) -> list[Violation]:
         """Exhaustive check of the MV axioms and quantifier identities.
 
-        Returns every violated identity with (labels of) witnessing elements.
+        Returns every violated identity with (labels of) witnessing elements,
+        ordered as nested loops over the witnesses would find them.  Each
+        identity is evaluated for all witnesses at once on the index tables;
+        the cubic associativity check runs in blocks of a.
         """
         violations: list[Violation] = []
-        rng = range(self.size)
-        lab = self.labels
-        oplus, neg, star = self.oplus_table, self.neg_table, self.star_table
-        impl, join, forall, exists = (
-            self.impl_table,
-            self.join_table,
-            self.forall_table,
-            self.exists_table,
-        )
+        t = self._arrays
+        oplus, neg, star = t["oplus"], t["neg"], t["star"]
+        impl, join, forall, exists = t["impl"], t["join"], t["forall"], t["exists"]
         zero, one = self.zero, self.one
+        a = np.arange(self.size)
 
-        def report(identity: str, *witness: int) -> None:
-            violations.append(Violation(identity, tuple(lab[w] for w in witness)))
+        def report(identities: Sequence[str], *failed: np.ndarray, offset: int = 0) -> None:
+            if not any(f.any() for f in failed):
+                return
+            # rows of argwhere come in the order of nested loops over the
+            # witnesses, with the identity innermost
+            for *witness, k in np.argwhere(np.stack(failed, axis=-1)).tolist():
+                witness[0] += offset
+                violations.append(
+                    Violation(identities[k], tuple(self.labels[w] for w in witness))
+                )
 
-        for a in rng:
-            if oplus[a][zero] != a:
-                report("MV3: a (+) 0 = a", a)
-            if neg[neg[a]] != a:
-                report("MV4: ~~a = a", a)
-            if oplus[a][one] != one:
-                report("MV5: a (+) 1 = 1", a)
-        for a in rng:
-            for b in rng:
-                if oplus[a][b] != oplus[b][a]:
-                    report("MV2: a (+) b = b (+) a", a, b)
-                if oplus[neg[oplus[neg[a]][b]]][b] != oplus[neg[oplus[neg[b]][a]]][a]:
-                    report("MV6: ~(~a (+) b) (+) b = ~(~b (+) a) (+) a", a, b)
-        for a in rng:
-            for b in rng:
-                for c in rng:
-                    if oplus[oplus[a][b]][c] != oplus[a][oplus[b][c]]:
-                        report("MV1: (a (+) b) (+) c = a (+) (b (+) c)", a, b, c)
+        report(
+            ("MV3: a (+) 0 = a", "MV4: ~~a = a", "MV5: a (+) 1 = 1"),
+            oplus[:, zero] != a,
+            neg[neg] != a,
+            oplus[:, one] != one,
+        )
+        mv6 = oplus[neg[oplus[neg]], a]  # ~(~a (+) b) (+) b at [a, b]
+        report(
+            ("MV2: a (+) b = b (+) a", "MV6: ~(~a (+) b) (+) b = ~(~b (+) a) (+) a"),
+            oplus != oplus.T,
+            mv6 != mv6.T,
+        )
+        for block in _row_blocks(self.size, self.size**2):
+            sums = oplus[block]  # a (+) b at [a, b]
+            report(
+                ("MV1: (a (+) b) (+) c = a (+) (b (+) c)",),
+                oplus[sums] != sums[:, oplus],
+                offset=block.start,
+            )
 
-        for a in rng:
-            if impl[forall[a]][a] != one:
-                report("M1: forall a -> a = 1", a)
-            if exists[star[a][a]] != star[exists[a]][exists[a]]:
-                report("M5: exists (a*a) = exists a * exists a", a)
-        for a in rng:
-            for b in rng:
-                if forall[impl[a][forall[b]]] != impl[exists[a]][forall[b]]:
-                    report("M2: forall (a -> forall b) = exists a -> forall b", a, b)
-                if forall[impl[forall[a]][b]] != impl[forall[a]][forall[b]]:
-                    report("M3: forall (forall a -> b) = forall a -> forall b", a, b)
-                if forall[join[exists[a]][b]] != join[exists[a]][forall[b]]:
-                    report("M4: forall (exists a \\/ b) = exists a \\/ forall b", a, b)
+        report(
+            ("M1: forall a -> a = 1", "M5: exists (a*a) = exists a * exists a"),
+            impl[forall, a] != one,
+            exists[star[a, a]] != star[exists, exists],
+        )
+        report(
+            (
+                "M2: forall (a -> forall b) = exists a -> forall b",
+                "M3: forall (forall a -> b) = forall a -> forall b",
+                "M4: forall (exists a \\/ b) = exists a \\/ forall b",
+            ),
+            forall[impl[:, forall]] != impl[np.ix_(exists, forall)],
+            forall[impl[forall]] != impl[np.ix_(forall, forall)],
+            forall[join[exists]] != join[np.ix_(exists, forall)],
+        )
         return violations
 
 
@@ -279,7 +405,8 @@ def generate_subalgebra(
     """Close the generators under implication, 0, and the sup-quantifier.
 
     The closure inside a finite power is finite; `max_size` guards against
-    blowing up on large chains.
+    blowing up on large chains, and is checked after every block of
+    candidates, so a round stops as soon as the closure passes it.
     """
     generators = tuple(generators)
     for element in generators:
@@ -287,28 +414,42 @@ def generate_subalgebra(
             raise AlgebraError(
                 f"generator {_element_label(element)} is not an n-tuple over the m-chain"
             )
-    closure: set[MonadicElement] = {core.const_tuple(_ZERO, n)}
-    closure.update(generators)
-    frontier = list(closure)
-    while frontier:
-        fresh: set[MonadicElement] = set()
-
-        def consider(element: MonadicElement) -> None:
-            if element not in closure:
-                fresh.add(element)
-
-        for a in frontier:
-            consider(core.exists_sup(a))
-            for b in closure:
-                consider(core.power_binop("impl", a, b))
-                consider(core.power_binop("impl", b, a))
-        closure.update(fresh)
-        if len(closure) > max_size:
-            raise AlgebraError(f"closure exceeds {max_size} elements")
-        frontier = list(fresh)
+    rows, _ = _scaled((core.const_tuple(_ZERO, n),) + generators, n, m)
+    keys, first = np.unique(_keys(rows, m + 1), return_index=True)
+    closure = rows[first]  # rows of the closure, in ascending key order
+    if len(keys) > max_size:
+        raise AlgebraError(f"closure exceeds {max_size} elements")
+    frontier = closure
+    while len(frontier):
+        fresh_keys, fresh = keys[:0], closure[:0]
+        for candidates in _closure_candidates(frontier, closure, m):
+            found, first = np.unique(_keys(candidates, m + 1), return_index=True)
+            new = (_find(keys, found) < 0) & (_find(fresh_keys, found) < 0)
+            fresh_keys = np.concatenate([fresh_keys, found[new]])
+            fresh = np.concatenate([fresh, candidates[first[new]]])
+            order = np.argsort(fresh_keys, kind="stable")
+            fresh_keys, fresh = fresh_keys[order], fresh[order]
+            if len(keys) + len(fresh_keys) > max_size:
+                raise AlgebraError(f"closure exceeds {max_size} elements")
+        order = np.argsort(np.concatenate([keys, fresh_keys]), kind="stable")
+        keys = np.concatenate([keys, fresh_keys])[order]
+        closure = np.concatenate([closure, fresh])[order]
+        frontier = fresh
     return FiniteMonadicAlgebra.from_carrier(
-        m, n, sorted(closure), generators=generators, check=False
+        m, n, [_fractions(row, m) for row in closure], generators=generators, check=False
     )
+
+
+def _closure_candidates(
+    frontier: np.ndarray, closure: np.ndarray, m: int
+) -> Iterable[np.ndarray]:
+    """Blocks of exists a, a -> b and b -> a for a in the frontier, b in the closure."""
+    yield np.repeat(frontier.max(axis=1, keepdims=True), frontier.shape[1], axis=1)
+    pairs = len(frontier) * len(closure)
+    for start in range(0, pairs, _BLOCK):
+        index = np.arange(start, min(pairs, start + _BLOCK))
+        a, b = frontier[index // len(closure)], closure[index % len(closure)]
+        yield np.concatenate([_impl(a, b, m), _impl(b, a, m)])
 
 
 # ---------------------------------------------------------------------------
@@ -630,28 +771,37 @@ def _verify_representation(
     width_n = len(mapping[algebra.zero])
     if mapping[algebra.zero] != core.const_tuple(_ZERO, width_n):
         raise RuntimeError("representation does not send 0 to 0")
-    tables = {
-        "impl": algebra.impl_table,
-        "star": algebra.star_table,
-        "oplus": algebra.oplus_table,
-        "meet": algebra.meet_table,
-        "join": algebra.join_table,
-    }
-    for a in range(size):
-        image = mapping[a]
-        if mapping[algebra.neg_table[a]] != core.power_neg(image):
-            raise RuntimeError("representation does not respect negation")
-        if mapping[algebra.exists_table[a]] != core.exists_sup(image):
-            raise RuntimeError("representation does not respect the sup-quantifier")
-        if mapping[algebra.forall_table[a]] != core.forall_inf(image):
-            raise RuntimeError("representation does not respect the inf-quantifier")
-        for b in range(size):
-            other = mapping[b]
-            for name, table in tables.items():
-                if mapping[table[a][b]] != core.power_binop(name, image, other):
-                    raise RuntimeError(
-                        f"representation does not respect {name}"
-                    )
+    images, d = _scaled([mapping[a] for a in range(size)], width_n)
+    t = algebra._arrays
+    # the checks of one element a in the order they are reported: its three
+    # unary checks, then every (b, operation) pair
+    unary_names = ("negation", "the sup-quantifier", "the inf-quantifier")
+    unary = np.stack(
+        [
+            (images[t["neg"]] != d - images).any(axis=1),
+            (images[t["exists"]] != images.max(axis=1, keepdims=True)).any(axis=1),
+            (images[t["forall"]] != images.min(axis=1, keepdims=True)).any(axis=1),
+        ],
+        axis=1,
+    )
+    for block in _row_blocks(size, size):
+        left = images[block, None]
+        binary = np.stack(
+            [
+                (images[t[name][block]] != op(left, images, d)).any(axis=-1)
+                for name, op in _INT_OPS.items()
+            ],
+            axis=-1,
+        )
+        failed = _first(np.concatenate([unary[block], binary.reshape(len(left), -1)], axis=1))
+        if failed is not None:
+            check = failed[1]
+            if check < len(unary_names):
+                raise RuntimeError(
+                    f"representation does not respect {unary_names[check]}"
+                )
+            name = list(_INT_OPS)[(check - len(unary_names)) % len(_INT_OPS)]
+            raise RuntimeError(f"representation does not respect {name}")
 
 
 # ---------------------------------------------------------------------------
@@ -745,19 +895,11 @@ def fep_embed(
         w = witnesses[element]
         if w not in chosen:
             chosen.append(w)
-    for a, b in itertools.combinations(subset, 2):
-        if all(a[x] == b[x] for x in chosen):
-            for x in range(points):
-                if a[x] != b[x]:
-                    chosen.append(x)
-                    break
+    _separate(_scaled(subset, points)[0], chosen)
     if not chosen:
         chosen.append(0)
 
-    m = 1
-    for element in subset:
-        for x in chosen:
-            m = math.lcm(m, element[x].denominator)
+    m = math.lcm(1, *(element[x].denominator for element in subset for x in chosen))
     mapping = {element: tuple(element[x] for x in chosen) for element in subset}
     _verify_fep(subset, mapping, m, len(chosen))
     return FepEmbedding(m=m, n=len(chosen), points=tuple(chosen), mapping=mapping)
@@ -771,26 +913,66 @@ def _verify_fep(
 ) -> None:
     if len(set(mapping.values())) != len(subset):
         raise RuntimeError("restriction map is not injective")
-    members = set(subset)
     for element, image in mapping.items():
         if not core.in_power(image, m, n):
             raise RuntimeError("restricted values escape the common chain")
-    if subset:
-        zero_fn = core.const_tuple(_ZERO, len(subset[0]))
-        if zero_fn in members and mapping[zero_fn] != core.const_tuple(_ZERO, n):
-            raise RuntimeError("restriction map does not send 0 to 0")
-    for a in subset:
-        forall_a = core.forall_inf(a)
-        if forall_a in members and mapping[forall_a] != core.forall_inf(mapping[a]):
-            raise RuntimeError(
-                "restriction map does not respect the inf-quantifier"
-            )
-        for b in subset:
-            c = core.power_binop("impl", a, b)
-            if c in members and mapping[c] != core.power_binop(
-                "impl", mapping[a], mapping[b]
-            ):
-                raise RuntimeError("restriction map does not respect implication")
+    if not subset:
+        return
+    zero_fn = core.const_tuple(_ZERO, len(subset[0]))
+    if zero_fn in subset and mapping[zero_fn] != core.const_tuple(_ZERO, n):
+        raise RuntimeError("restriction map does not send 0 to 0")
+    values, d = _scaled(subset, len(subset[0]))
+    images, _ = _scaled([mapping[a] for a in subset], n, m)
+    keys = _keys(values, d + 1)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+
+    def member(results: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Which results lie in the family, and the index of each one that does."""
+        found = _find(sorted_keys, _keys(results, d + 1))
+        return found >= 0, order[np.maximum(found, 0)]
+
+    # the checks of one element a in the order they are reported: the
+    # inf-quantifier, then implication with every b
+    inside, c = member(np.repeat(values.min(axis=1, keepdims=True), values.shape[1], axis=1))
+    forall = inside & (images[c] != images.min(axis=1, keepdims=True)).any(axis=1)
+    for block in _row_blocks(len(subset), len(subset)):
+        inside, c = member(_impl(values[block, None], values, d))
+        impl = inside & (images[c] != _impl(images[block, None], images, m)).any(axis=-1)
+        failed = _first(np.concatenate([forall[block, None], impl], axis=1))
+        if failed is not None:
+            if failed[1] == 0:
+                raise RuntimeError("restriction map does not respect the inf-quantifier")
+            raise RuntimeError("restriction map does not respect implication")
+
+
+def _separate(values: np.ndarray, chosen: list[int]) -> None:
+    """Append points to `chosen` until they separate all rows of `values`.
+
+    Equivalent to visiting the pairs of rows in `itertools.combinations`
+    order and, for each pair still equal on the chosen points, appending the
+    first point where the two differ: the first such pair is always the
+    least row i that shares its class (its values on the chosen points) with
+    a later row, paired with the next row of that class.
+    """
+    classes = np.zeros(len(values), dtype=np.intp)
+
+    def refine(x: int) -> np.ndarray:
+        codes = np.unique(values[:, x], return_inverse=True)[1].reshape(-1)
+        return np.unique(classes * len(values) + codes, return_inverse=True)[1].reshape(-1)
+
+    for x in chosen:
+        classes = refine(x)
+    while True:
+        _, first, counts = np.unique(classes, return_index=True, return_counts=True)
+        shared = first[counts > 1]
+        if not len(shared):
+            return
+        i = int(shared.min())
+        j = i + 1 + int(np.flatnonzero(classes[i + 1 :] == classes[i])[0])
+        x = int(np.flatnonzero(values[i] != values[j])[0])
+        chosen.append(x)
+        classes = refine(x)
 
 
 # ---------------------------------------------------------------------------

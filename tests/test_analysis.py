@@ -5,13 +5,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from mmv import core
+from mmv import analysis, core
 from mmv.analysis import (
     AlgebraError,
     FiniteMonadicAlgebra,
@@ -111,6 +112,30 @@ def test_generation_closes_under_quantifier():
 def test_generation_respects_max_size():
     with pytest.raises(AlgebraError, match="closure exceeds 4 elements"):
         generate_subalgebra(2, 2, [(F(1), F(1, 2))], max_size=4)
+
+
+def test_generation_stops_inside_a_large_round(monkeypatch):
+    # 300 Boolean generators on 12 points make a first round of ~180,000
+    # candidates; the limit must stop it after a few blocks, each bounded
+    rng = random.Random(5)
+    generators = list(
+        {tuple(F(rng.randint(0, 1)) for _ in range(12)) for _ in range(300)}
+    )
+    blocks = []
+    candidates = analysis._closure_candidates
+
+    def spy(*args):
+        for block in candidates(*args):
+            blocks.append(len(block))
+            yield block
+
+    monkeypatch.setattr(analysis, "_BLOCK", 1024)
+    monkeypatch.setattr(analysis, "_closure_candidates", spy)
+    with pytest.raises(AlgebraError, match="closure exceeds 400 elements"):
+        generate_subalgebra(1, 12, generators, max_size=400)
+    full_round = 2 * (len(generators) + 1) ** 2
+    assert max(blocks) <= 2 * 1024
+    assert sum(blocks) < full_round // 20
 
 
 def test_generator_must_live_in_the_power():
@@ -625,3 +650,459 @@ def test_functional_export_requires_functional_origin():
     )
     with pytest.raises(AlgebraError, match="no functional form"):
         algebra_to_json(tabular, form="functional")
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs
+# ---------------------------------------------------------------------------
+# tests/data/analysis_pinned.json holds outputs of the Fraction implementation
+# that preceded the scaled-integer kernels: validate() lists of the broken
+# corpus algebra and of seeded single-entry table mutations, the tables,
+# representations and embeddings of functional algebras, and embeddings
+# whose separating points depend on the order pairs are examined in.
+
+PINNED = json.loads(
+    (Path(__file__).resolve().parent / "data" / "analysis_pinned.json").read_text()
+)
+
+
+def _violation_list(algebra: FiniteMonadicAlgebra) -> list:
+    return [[v.identity, list(v.witness)] for v in algebra.validate()]
+
+
+def _tables(algebra: FiniteMonadicAlgebra) -> dict:
+    return {
+        "labels": list(algebra.labels),
+        "zero": algebra.zero,
+        "impl": [list(row) for row in algebra.impl_table],
+        "exists": list(algebra.exists_table),
+        "neg": list(algebra.neg_table),
+        "oplus": [list(row) for row in algebra.oplus_table],
+        "star": [list(row) for row in algebra.star_table],
+        "join": [list(row) for row in algebra.join_table],
+        "meet": [list(row) for row in algebra.meet_table],
+        "forall": list(algebra.forall_table),
+    }
+
+
+def test_pinned_broken_exists_violations():
+    data = json.loads((CORPUS / "broken-exists.json").read_text())
+    algebra = algebra_from_json(data, check=False)
+    assert _violation_list(algebra) == PINNED["broken_exists_validate"]
+
+
+@pytest.mark.parametrize(
+    "case", PINNED["mutations"], ids=lambda c: f"{c['base']}-{c['mutation']}"
+)
+def test_pinned_mutation_violations(case):
+    base = {"boolean-square": boolean_square, "chain-l2": chain_l2}[case["base"]]()
+    impl = [list(row) for row in base.impl_table]
+    exists = list(base.exists_table)
+    if case["mutation"][0] == "impl":
+        _, i, j, value = case["mutation"]
+        impl[i][j] = value
+    else:
+        _, i, value = case["mutation"]
+        exists[i] = value
+    mutated = FiniteMonadicAlgebra(base.labels, impl, base.zero, exists, check=False)
+    assert _violation_list(mutated) == case["violations"]
+
+
+@pytest.mark.parametrize("case", PINNED["functional"], ids=lambda c: c["name"])
+def test_pinned_functional_algebras(case):
+    algebra = algebra_from_json(case["document"])
+    assert _tables(algebra) == case["tables"]
+    assert [core.format_tuple(e) for e in algebra.carrier] == case["carrier"]
+    again = FiniteMonadicAlgebra.from_carrier(
+        algebra.m, algebra.n, list(reversed(algebra.carrier))
+    )
+    assert _tables(again) == case["tables"]
+    assert represent_simple(algebra).to_json(algebra) == case["representation"]
+    assert fep_embed(list(algebra.carrier)).to_json() == case["fep"]
+
+
+@pytest.mark.parametrize("case", PINNED["fep_pair_order"], ids=lambda c: str(c["points"]))
+def test_pinned_fep_pair_order(case):
+    subset = [core.parse_tuple(element) for element in case["subset"]]
+    data = fep_embed(subset).to_json()
+    assert data == {key: case[key] for key in ("m", "n", "points", "embedding")}
+
+
+# ---------------------------------------------------------------------------
+# brute-force references: the Fraction loops of core.power_binop that the
+# scaled-integer kernels replace
+# ---------------------------------------------------------------------------
+
+
+def reference_closure(m, n, generators, max_size):
+    """Sorted closure under impl, 0 and exists, or None past max_size."""
+    closure = {core.const_tuple(F(0), n), *generators}
+    frontier = list(closure)
+    while frontier:
+        fresh = set()
+        for a in frontier:
+            fresh.add(core.exists_sup(a))
+            for b in closure:
+                fresh.add(core.power_binop("impl", a, b))
+                fresh.add(core.power_binop("impl", b, a))
+        fresh -= closure
+        closure |= fresh
+        if len(closure) > max_size:
+            return None
+        frontier = list(fresh)
+    return sorted(closure)
+
+
+def reference_tables(carrier):
+    index = {element: i for i, element in enumerate(carrier)}
+    impl = tuple(
+        tuple(index[core.power_binop("impl", a, b)] for b in carrier) for a in carrier
+    )
+    exists = tuple(index[core.exists_sup(a)] for a in carrier)
+    return impl, exists
+
+
+def reference_validate(algebra):
+    found = []
+    rng = range(algebra.size)
+    oplus, neg, star = algebra.oplus_table, algebra.neg_table, algebra.star_table
+    impl, join = algebra.impl_table, algebra.join_table
+    forall, exists = algebra.forall_table, algebra.exists_table
+    zero, one = algebra.zero, algebra.one
+
+    def report(identity, *witness):
+        found.append([identity, [algebra.labels[w] for w in witness]])
+
+    for a in rng:
+        if oplus[a][zero] != a:
+            report("MV3: a (+) 0 = a", a)
+        if neg[neg[a]] != a:
+            report("MV4: ~~a = a", a)
+        if oplus[a][one] != one:
+            report("MV5: a (+) 1 = 1", a)
+    for a, b in itertools.product(rng, repeat=2):
+        if oplus[a][b] != oplus[b][a]:
+            report("MV2: a (+) b = b (+) a", a, b)
+        if oplus[neg[oplus[neg[a]][b]]][b] != oplus[neg[oplus[neg[b]][a]]][a]:
+            report("MV6: ~(~a (+) b) (+) b = ~(~b (+) a) (+) a", a, b)
+    for a, b, c in itertools.product(rng, repeat=3):
+        if oplus[oplus[a][b]][c] != oplus[a][oplus[b][c]]:
+            report("MV1: (a (+) b) (+) c = a (+) (b (+) c)", a, b, c)
+    for a in rng:
+        if impl[forall[a]][a] != one:
+            report("M1: forall a -> a = 1", a)
+        if exists[star[a][a]] != star[exists[a]][exists[a]]:
+            report("M5: exists (a*a) = exists a * exists a", a)
+    for a, b in itertools.product(rng, repeat=2):
+        if forall[impl[a][forall[b]]] != impl[exists[a]][forall[b]]:
+            report("M2: forall (a -> forall b) = exists a -> forall b", a, b)
+        if forall[impl[forall[a]][b]] != impl[forall[a]][forall[b]]:
+            report("M3: forall (forall a -> b) = forall a -> forall b", a, b)
+        if forall[join[exists[a]][b]] != join[exists[a]][forall[b]]:
+            report("M4: forall (exists a \\/ b) = exists a \\/ forall b", a, b)
+    return found
+
+
+def reference_verify_representation(algebra, mapping):
+    """The first failed check's message, or None."""
+    if len(set(mapping.values())) != algebra.size:
+        return "representation is not injective"
+    if mapping[algebra.zero] != core.const_tuple(F(0), len(mapping[algebra.zero])):
+        return "representation does not send 0 to 0"
+    tables = {
+        "impl": algebra.impl_table,
+        "star": algebra.star_table,
+        "oplus": algebra.oplus_table,
+        "meet": algebra.meet_table,
+        "join": algebra.join_table,
+    }
+    for a in range(algebra.size):
+        image = mapping[a]
+        if mapping[algebra.neg_table[a]] != core.power_neg(image):
+            return "representation does not respect negation"
+        if mapping[algebra.exists_table[a]] != core.exists_sup(image):
+            return "representation does not respect the sup-quantifier"
+        if mapping[algebra.forall_table[a]] != core.forall_inf(image):
+            return "representation does not respect the inf-quantifier"
+        for b in range(algebra.size):
+            for name, table in tables.items():
+                if mapping[table[a][b]] != core.power_binop(name, image, mapping[b]):
+                    return f"representation does not respect {name}"
+    return None
+
+
+def reference_verify_fep(subset, mapping, m, n):
+    """The first failed check's message, or None."""
+    if len(set(mapping.values())) != len(subset):
+        return "restriction map is not injective"
+    members = set(subset)
+    for image in mapping.values():
+        if not core.in_power(image, m, n):
+            return "restricted values escape the common chain"
+    zero_fn = core.const_tuple(F(0), len(subset[0]))
+    if zero_fn in members and mapping[zero_fn] != core.const_tuple(F(0), n):
+        return "restriction map does not send 0 to 0"
+    for a in subset:
+        forall_a = core.forall_inf(a)
+        if forall_a in members and mapping[forall_a] != core.forall_inf(mapping[a]):
+            return "restriction map does not respect the inf-quantifier"
+        for b in subset:
+            c = core.power_binop("impl", a, b)
+            if c in members and mapping[c] != core.power_binop(
+                "impl", mapping[a], mapping[b]
+            ):
+                return "restriction map does not respect implication"
+    return None
+
+
+def reference_fep(subset, witnesses):
+    """(m, points, mapping) of the embedding, built pair by pair."""
+    points = len(subset[0])
+    chosen = []
+    for element in subset:
+        if witnesses[element] not in chosen:
+            chosen.append(witnesses[element])
+    for a, b in itertools.combinations(subset, 2):
+        if all(a[x] == b[x] for x in chosen):
+            chosen.append(next(x for x in range(points) if a[x] != b[x]))
+    m = math.lcm(1, *(element[x].denominator for element in subset for x in chosen))
+    mapping = {element: tuple(element[x] for x in chosen) for element in subset}
+    assert reference_verify_fep(subset, mapping, m, len(chosen)) is None
+    return m, tuple(chosen), mapping
+
+
+def _message(check, *args):
+    try:
+        check(*args)
+    except RuntimeError as exc:
+        return str(exc)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# differential tests against the references
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("block", [analysis._BLOCK, 5])
+@pytest.mark.parametrize("seed", range(20))
+def test_generation_matches_fraction_reference(seed, block, monkeypatch):
+    monkeypatch.setattr(analysis, "_BLOCK", block)
+    rng = random.Random(seed)
+    m, n = rng.randint(1, 4), rng.randint(1, 4)
+    chain = core.enumerate_chain(m)
+    generators = [
+        tuple(rng.choice(chain) for _ in range(n)) for _ in range(rng.randint(1, 3))
+    ]
+    expected = reference_closure(m, n, generators, 81)
+    if expected is None:
+        with pytest.raises(AlgebraError, match="closure exceeds 81 elements"):
+            generate_subalgebra(m, n, generators, max_size=81)
+        return
+    algebra = generate_subalgebra(m, n, generators, max_size=81)
+    assert list(algebra.carrier) == expected
+    assert list(algebra.labels) == [analysis._element_label(e) for e in expected]
+    assert (algebra.impl_table, algebra.exists_table) == reference_tables(expected)
+    if algebra.size <= 27:
+        assert algebra.validate() == []
+        assert reference_validate(algebra) == []
+
+
+def test_from_carrier_reports_the_first_unclosed_pair():
+    # messages of the Fraction implementation: the first missing implication
+    # in row-major order, then the first missing sup
+    carrier = [(F(0), F(0)), (F(1, 2), F(0)), (F(0), F(1, 2)), (F(1), F(1))]
+    with pytest.raises(
+        AlgebraError,
+        match=r"^carrier is not closed: \(0, 1/2\) -> \(0, 0\) gives \(1, 1/2\)$",
+    ):
+        FiniteMonadicAlgebra.from_carrier(2, 2, carrier)
+    implication_closed = list(itertools.product([F(0), F(1)], core.enumerate_chain(2)))
+    with pytest.raises(
+        AlgebraError,
+        match=r"^carrier is not closed: exists \(0, 1/2\) gives \(1/2, 1/2\)$",
+    ):
+        FiniteMonadicAlgebra.from_carrier(2, 2, implication_closed)
+
+
+def _mutated(algebra, rng, entries):
+    impl = [list(row) for row in algebra.impl_table]
+    exists = list(algebra.exists_table)
+    for _ in range(entries):
+        a = rng.randrange(algebra.size)
+        if rng.random() < 0.75:
+            impl[a][rng.randrange(algebra.size)] = rng.randrange(algebra.size)
+        else:
+            exists[a] = rng.randrange(algebra.size)
+    return FiniteMonadicAlgebra(algebra.labels, impl, algebra.zero, exists, check=False)
+
+
+@pytest.mark.parametrize("block", [analysis._BLOCK, 7])
+@pytest.mark.parametrize("seed", range(12))
+def test_validate_matches_reference(seed, block, monkeypatch):
+    monkeypatch.setattr(analysis, "_BLOCK", block)
+    rng = random.Random(seed)
+    size = rng.randint(1, 6)
+    random_tables = FiniteMonadicAlgebra(
+        [str(i) for i in range(size)],
+        [[rng.randrange(size) for _ in range(size)] for _ in range(size)],
+        rng.randrange(size),
+        [rng.randrange(size) for _ in range(size)],
+        check=False,
+    )
+    base = [boolean_square, chain_l2, boolean_cube, identity_quantifier_square][seed % 4]()
+    for algebra in (random_tables, _mutated(base, rng, 1 + seed % 2)):
+        assert _violation_list(algebra) == reference_validate(algebra)
+
+
+def _corrupted_mappings(mapping, candidates, pairs):
+    keys = sorted(mapping)
+    for x in keys:
+        for value in candidates:
+            yield {**mapping, x: value}
+    if pairs:
+        for x, y in itertools.combinations(keys, 2):
+            for v, w in itertools.product(candidates, repeat=2):
+                yield {**mapping, x: v, y: w}
+
+
+@pytest.mark.parametrize("block", [analysis._BLOCK, 3])
+def test_verify_representation_matches_reference(block, monkeypatch):
+    monkeypatch.setattr(analysis, "_BLOCK", block)
+    seen = set()
+    for algebra, pairs in (
+        (boolean_square(), True),
+        (generate_subalgebra(3, 1, [(F(1, 3),)]), True),
+        (generate_subalgebra(2, 2, [(F(1), F(1, 2))]), False),
+    ):
+        rep = represent_simple(algebra)
+        assert reference_verify_representation(algebra, rep.mapping) is None
+        chain = core.enumerate_chain(2 * max(rep.denominators))
+        candidates = list(itertools.product(chain, repeat=len(rep.denominators)))
+        for mapping in _corrupted_mappings(rep.mapping, candidates, pairs):
+            expected = reference_verify_representation(algebra, mapping)
+            assert _message(analysis._verify_representation, algebra, mapping) == expected
+            seen.add(expected)
+    assert {None, "representation is not injective", "representation does not send 0 to 0"} < seen
+    for name in ("negation", "the sup-quantifier", "the inf-quantifier", "impl", "star", "oplus"):
+        assert f"representation does not respect {name}" in seen
+
+
+@pytest.mark.parametrize(
+    "table, name",
+    [
+        ("neg", "negation"),
+        ("exists", "the sup-quantifier"),
+        ("forall", "the inf-quantifier"),
+        ("impl", "impl"),
+        ("star", "star"),
+        ("oplus", "oplus"),
+        ("meet", "meet"),
+        ("join", "join"),
+    ],
+)
+def test_verify_representation_flags_each_corrupted_table(table, name):
+    # one wrong entry in one of the tables the verifier reads; the injective
+    # mapping then disagrees there, and only there
+    algebra = generate_subalgebra(2, 2, [(F(1), F(1, 2))])
+    mapping = represent_simple(algebra).mapping
+    corrupted = algebra._arrays[table].copy()
+    entry = (4,) if corrupted.ndim == 1 else (4, 6)
+    corrupted[entry] = (corrupted[entry] + 1) % algebra.size
+    algebra._arrays[table] = corrupted
+    with pytest.raises(RuntimeError, match=f"^representation does not respect {name}$"):
+        analysis._verify_representation(algebra, mapping)
+
+
+@pytest.mark.parametrize("block", [analysis._BLOCK, 2])
+def test_verify_fep_matches_reference(block, monkeypatch):
+    monkeypatch.setattr(analysis, "_BLOCK", block)
+    seen = set()
+    for family in (
+        list(generate_subalgebra(2, 2, [(F(1), F(1, 2))]).carrier),
+        list(boolean_square().carrier),
+        [(F(1, 2), F(1, 3), F(1)), (F(1, 3), F(1, 3), F(1, 3))],
+    ):
+        emb = fep_embed(family)
+        # the finer target chain leaves room for wrong images that stay on it
+        for m in (emb.m, 2 * emb.m):
+            candidates = list(itertools.product(core.enumerate_chain(2 * emb.m), repeat=emb.n))
+            for mapping in _corrupted_mappings(emb.mapping, candidates, False):
+                expected = reference_verify_fep(family, mapping, m, emb.n)
+                assert _message(analysis._verify_fep, family, mapping, m, emb.n) == expected
+                seen.add(expected)
+    assert seen == {
+        None,
+        "restriction map is not injective",
+        "restricted values escape the common chain",
+        "restriction map does not send 0 to 0",
+        "restriction map does not respect the inf-quantifier",
+        "restriction map does not respect implication",
+    }
+
+
+@pytest.mark.parametrize("block", [analysis._BLOCK, 3])
+@pytest.mark.parametrize("seed", range(30))
+def test_fep_matches_fraction_reference(seed, block, monkeypatch):
+    monkeypatch.setattr(analysis, "_BLOCK", block)
+    rng = random.Random(seed)
+    values = sorted({F(k, d) for d in range(1, 8) for k in range(d + 1)})
+    points = rng.randint(1, 5)
+    family = [tuple(rng.choice(values) for _ in range(points)) for _ in range(rng.randint(1, 7))]
+    # implications and infima of members, so that the verifier's checks bite
+    for a, b in itertools.product(family[:3], repeat=2):
+        family.append(core.power_binop("impl", a, b))
+    family.append(core.forall_inf(family[0]))
+    family = list(dict.fromkeys(family))
+    witnesses = {
+        element: rng.choice([x for x in range(points) if element[x] == min(element)])
+        for element in family
+    }
+    emb = fep_embed(family, witnesses)
+    assert (emb.m, emb.points, emb.mapping) == reference_fep(family, witnesses)
+    assert list(emb.mapping) == family
+
+
+# ---------------------------------------------------------------------------
+# integers past int64
+# ---------------------------------------------------------------------------
+
+
+def test_generation_over_a_chain_past_int64():
+    algebra = generate_subalgebra(2**70, 2, [(F(1), F(0))])
+    square = boolean_square()
+    assert algebra.m == 2**70
+    assert algebra.carrier == square.carrier
+    assert _tables(algebra) == _tables(square)
+    assert represent_simple(algebra).to_json(algebra) == represent_simple(square).to_json(square)
+
+
+def test_generation_past_int64_with_fine_values():
+    m = 3 * 2**64
+    algebra = generate_subalgebra(m, 2, [(F(1, 3), F(1))])
+    small = generate_subalgebra(3, 2, [(F(1, 3), F(1))])
+    assert algebra.carrier == small.carrier
+    assert _tables(algebra) == _tables(small)
+    with pytest.raises(AlgebraError, match="closure exceeds 5 elements"):
+        generate_subalgebra(m, 2, [(F(1, 3), F(1))], max_size=5)
+
+
+def test_fep_with_a_common_denominator_past_int64():
+    primes = (65521, 65519, 65497, 65479)
+    assert math.prod(primes) >= 2**63
+    one = F(1)
+    family = [core.const_tuple(F(0), 4), core.const_tuple(one, 4)]
+    for i, p in enumerate(primes):
+        family.append(tuple(F(1, p) if x == i else one for x in range(4)))
+        family.append(core.const_tuple(F(1, p), 4))
+        family.append(tuple(F(p - 1, p) if x == i else F(1, 2) for x in range(4)))
+    emb = fep_embed(family)
+    witnesses = canonical_witnesses(family, 4)
+    assert (emb.m, emb.points, emb.mapping) == reference_fep(family, witnesses)
+    assert emb.m >= 2**63
+    mapping = dict(emb.mapping)
+    mapping[family[2]] = tuple(F(1, 2 * primes[0]) if v == F(1, primes[0]) else v for v in mapping[family[2]])
+    assert _message(analysis._verify_fep, family, mapping, 2 * emb.m, emb.n) == (
+        reference_verify_fep(family, mapping, 2 * emb.m, emb.n)
+    )
+    assert reference_verify_fep(family, mapping, 2 * emb.m, emb.n) is not None

@@ -474,6 +474,30 @@ def test_algebra_fep_requires_functional_form(runner, tmp_path):
     assert data["form"] == "tabular"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["represent"],
+        ["represent", "--json"],
+        ["fep"],
+        ["fep", "--json", "--element", "1/2,0,1", "--element", "1,1/2,0"],
+    ],
+)
+def test_algebra_commands_on_a_chain_past_int64(runner, tmp_path, args):
+    # L_{2^64} holds every value of L_2, so the same generators give the same
+    # algebra; its arithmetic runs on Python integers instead of int64
+    outputs = []
+    for m in (2, 2**64):
+        path = tmp_path / f"m{m}.json"
+        path.write_text(json.dumps(
+            {"form": "functional", "m": m, "n": 3, "generators": [["1/2", "0", "1"]]}
+        ))
+        result = invoke(runner, "algebra", args[0], str(path), *args[1:])
+        assert result.exit_code in (0, 1)
+        outputs.append((result.exit_code, result.output))
+    assert outputs[0] == outputs[1]
+
+
 def test_algebra_validate_malformed_file(runner, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"form": "nope"}))
