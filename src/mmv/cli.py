@@ -186,10 +186,11 @@ def refute_command(
     """
     premises = _load_gamma(gamma_file)
     conclusion = parse(formula_text)
-    budget = search.SearchBudget(
-        m_max=m_max, n_max=n_max, valuation_cap=cap, width=width, seed=seed
-    )
-    report = search.refute(premises, conclusion, budget, jobs=jobs)
+    budget = search.SearchBudget(m_max=m_max, n_max=n_max, valuation_cap=cap, seed=seed)
+    if width is None:
+        report = search.refute(premises, conclusion, budget, jobs=jobs)
+    else:
+        report = search.refute_width_k(premises, conclusion, width, budget, jobs=jobs)
     if as_json:
         _echo_json(report.to_json())
     elif report.found:

@@ -8,9 +8,11 @@ operations collapse a tuple to the constant tuple of its maximum (`exists_sup`)
 or minimum (`forall_inf`).
 
 `eval_in_power` evaluates a formula under an assignment of tuples, reading box
-as `forall_inf` and diamond as `exists_sup`.  The model-theoretic evaluator in
-`mmv.semantics` recurses world by world instead; the two routes must agree,
-and tests hold them to that.
+as `forall_inf` and diamond as `exists_sup`.  It is the one exact evaluator:
+an n-world structure of `mmv.semantics` is such an assignment, so
+`semantics.evaluate` calls it, and the countermodel search re-verifies its
+hits through it.  Tests check it against the table form of the power algebra
+(`mmv.analysis`), an independent route.
 """
 
 from __future__ import annotations
@@ -235,7 +237,7 @@ def eval_in_power(
             try:
                 value = valuation[f.name]
             except KeyError:
-                raise ValueError(f"no value for variable {f.name!r}") from None
+                raise ValueError(f"structure assigns no value to {f.name!r}") from None
             if len(value) != n:
                 raise DimensionError(
                     f"value for {f.name!r} has length {len(value)}, expected {n}"

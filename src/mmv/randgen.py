@@ -12,23 +12,17 @@ from fractions import Fraction
 from typing import Sequence
 
 from .syntax import (
+    BINARY_TYPES,
     Box,
     Const,
     Dia,
     Formula,
-    Impl,
-    Join,
-    Meet,
     MetaVar,
     Not,
-    Oplus,
-    Star,
     Var,
     subformulas,
     substitute,
 )
-
-_BINARY = (Impl, Star, Oplus, Meet, Join)
 
 
 def random_formula(
@@ -61,7 +55,7 @@ def random_formula(
         return Box(random_formula(rng, names, max_depth - 1, modalized=False))
     if kind == 4:
         return Dia(random_formula(rng, names, max_depth - 1, modalized=False))
-    cls = _BINARY[kind - 5]
+    cls = BINARY_TYPES[kind - 5]
     return cls(
         random_formula(rng, names, max_depth - 1, modalized),
         random_formula(rng, names, max_depth - 1, modalized),

@@ -33,16 +33,11 @@ EXHAUSTED_CAVEAT = (
 
 @dataclass(frozen=True, slots=True)
 class SearchBudget:
-    """Bounds for the search: chain sizes, world counts, cell cap, seed.
-
-    `width`, when set, restricts the search to structures with at most that
-    many worlds.
-    """
+    """Bounds for the search: chain sizes, world counts, cell cap, seed."""
 
     m_max: int = 3
     n_max: int = 3
     valuation_cap: int = 100_000
-    width: int | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -50,8 +45,6 @@ class SearchBudget:
             raise ValueError("m_max and n_max must be >= 1")
         if self.valuation_cap < 1:
             raise ValueError("valuation_cap must be >= 1")
-        if self.width is not None and self.width < 1:
-            raise ValueError("width must be >= 1 when set")
 
 
 @dataclass(slots=True)
@@ -116,9 +109,8 @@ def countermodel_from_json(data: Mapping) -> tuple[int, int, SafeStructure]:
 
 
 def _cells(budget: SearchBudget, nvars: int) -> list[tuple[int, int]]:
-    n_limit = budget.n_max if budget.width is None else min(budget.n_max, budget.width)
     cells = [
-        (m, n) for m in range(1, budget.m_max + 1) for n in range(1, n_limit + 1)
+        (m, n) for m in range(1, budget.m_max + 1) for n in range(1, budget.n_max + 1)
     ]
     cells.sort(key=lambda cell: (enumeration.cell_size(cell[0], cell[1], nvars), cell[1], cell[0]))
     return cells
@@ -232,7 +224,8 @@ def refute_width_k(
     """Countermodel search restricted to structures with at most k worlds."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return refute(premises, conclusion, replace(budget, width=k), jobs=jobs)
+    budget = replace(budget, n_max=min(budget.n_max, k))
+    return refute(premises, conclusion, budget, jobs=jobs)
 
 
 def extend_structure(structure: SafeStructure, worlds: int) -> SafeStructure:

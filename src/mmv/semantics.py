@@ -4,7 +4,11 @@ A structure is a finite set of worlds together with a truth-value assignment
 for each propositional variable at each world.  Truth values live in [0,1]
 and are exact rationals.  Box takes the infimum of its argument's values
 across all worlds, diamond the supremum; with finitely many worlds both are
-attained, so every finite structure is safe to evaluate in full.
+attained, so every finite structure is safe to evaluate in full.  Read
+world by world, the valuation of an n-world structure is an element of the
+power algebra L^n, with box and diamond the coordinatewise infimum and
+supremum; `evaluate` is therefore `core.eval_in_power`, the one exact
+evaluator.  Values are range-checked once, when a structure is built.
 
 A structure is a model of a set of premises when every premise evaluates to
 1 at every world.  `check_consequence_on_model` reports what one structure
@@ -20,13 +24,11 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from . import core
-from .core import MonadicElement, mv_binop
-from .syntax import BINARY_TYPES, Box, Const, Dia, Formula, Impl, Join, Meet, Not, Oplus, Star, Var
+from .core import MonadicElement
+from .syntax import Formula
 
 _ONE = Fraction(1)
 _ZERO = Fraction(0)
-
-_BINOP_NAME = {Impl: "impl", Star: "star", Oplus: "oplus", Meet: "meet", Join: "join"}
 
 
 class ConsequenceVerdict(enum.Enum):
@@ -62,39 +64,10 @@ class SafeStructure:
 def evaluate(structure: SafeStructure, formula: Formula) -> MonadicElement:
     """Truth value of the formula at every world, as a tuple.
 
-    Recurses on the formula: propositional connectives act within each world,
-    box/diamond replace the value by the minimum/maximum across worlds.
+    Box/diamond give the minimum/maximum across worlds; the other
+    connectives act within each world.
     """
-    n = structure.worlds
-    memo: dict[Formula, MonadicElement] = {}
-
-    def walk(f: Formula) -> MonadicElement:
-        cached = memo.get(f)
-        if cached is not None:
-            return cached
-        if isinstance(f, Var):
-            try:
-                value = structure.valuation[f.name]
-            except KeyError:
-                raise ValueError(f"structure assigns no value to {f.name!r}") from None
-        elif isinstance(f, Const):
-            value = (_ONE if f.value else _ZERO,) * n
-        elif isinstance(f, Not):
-            value = tuple(_ONE - x for x in walk(f.arg))
-        elif isinstance(f, Box):
-            value = (min(walk(f.arg)),) * n
-        elif isinstance(f, Dia):
-            value = (max(walk(f.arg)),) * n
-        elif isinstance(f, BINARY_TYPES):
-            op = _BINOP_NAME[type(f)]
-            left, right = walk(f.left), walk(f.right)
-            value = tuple(mv_binop(op, x, y) for x, y in zip(left, right))
-        else:
-            raise TypeError(f"cannot evaluate {f!r}")
-        memo[f] = value
-        return value
-
-    return walk(formula)
+    return core.eval_in_power(formula, structure.valuation, structure.worlds)
 
 
 def holds(structure: SafeStructure, formula: Formula) -> bool:

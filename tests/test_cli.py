@@ -162,6 +162,12 @@ def test_refute_width_restriction_exhausts(runner):
     assert "exhausted" in result.output
 
 
+def test_refute_width_must_be_positive(runner):
+    result = invoke(runner, "refute", "--formula", "<>p -> []p", "--width", "0")
+    assert result.exit_code == 2
+    assert "k must be >= 1" in result.output
+
+
 def test_refute_jobs_matches_serial(runner):
     serial = invoke(runner, "refute", "--formula", "<>p -> []p", "--json")
     parallel = invoke(

@@ -201,7 +201,6 @@ def test_boxinf_formula_shapes():
         ({"m_max": 0}, "m_max and n_max must be >= 1"),
         ({"n_max": 0}, "m_max and n_max must be >= 1"),
         ({"valuation_cap": 0}, "valuation_cap must be >= 1"),
-        ({"width": 0}, "width must be >= 1 when set"),
     ],
 )
 def test_budget_validation(kwargs, message):

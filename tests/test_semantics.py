@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mmv import core
+from mmv.analysis import FiniteMonadicAlgebra
 from mmv.randgen import random_formula, random_valuation
 from mmv.semantics import (
     ConsequenceVerdict,
@@ -18,7 +19,20 @@ from mmv.semantics import (
     model_from_json,
     model_to_json,
 )
-from mmv.syntax import parse
+from mmv.syntax import (
+    Box,
+    Const,
+    Dia,
+    Impl,
+    Join,
+    Meet,
+    Not,
+    Oplus,
+    Star,
+    Var,
+    parse,
+    variables,
+)
 
 
 def test_two_world_evaluation_oracles():
@@ -100,3 +114,51 @@ def test_evaluation_requires_all_variables():
     structure = SafeStructure(worlds=1, valuation={"p": (F(1),)})
     with pytest.raises(ValueError, match="assigns no value to 'q'"):
         evaluate(structure, parse("p -> q"))
+
+
+def _eval_in_tables(algebra, formula, valuation):
+    """Carrier index of the formula's value, read off the algebra's tables."""
+    index = {element: i for i, element in enumerate(algebra.carrier)}
+    binary = {
+        Impl: algebra.impl_table,
+        Star: algebra.star_table,
+        Oplus: algebra.oplus_table,
+        Meet: algebra.meet_table,
+        Join: algebra.join_table,
+    }
+
+    def walk(f):
+        if isinstance(f, Var):
+            return index[valuation[f.name]]
+        if isinstance(f, Const):
+            return algebra.one if f.value else algebra.zero
+        if isinstance(f, Not):
+            return algebra.neg_table[walk(f.arg)]
+        if isinstance(f, Box):
+            return algebra.forall_table[walk(f.arg)]
+        if isinstance(f, Dia):
+            return algebra.exists_table[walk(f.arg)]
+        return binary[type(f)][walk(f.left)][walk(f.right)]
+
+    return walk(formula)
+
+
+def test_power_evaluation_matches_table_route():
+    # the cases of acceptance 03, evaluated a second, independent way: by
+    # lookup in the tables of the whole power L_m^n, whose derived
+    # operations come from its implication and exists tables
+    rng = random.Random(3)
+    algebras = {}
+    for _ in range(500):
+        formula = random_formula(rng, max_depth=3)
+        m = rng.randint(1, 3)
+        n = rng.randint(1, 3)
+        names = sorted(variables(formula))
+        valuation = random_valuation(rng, names, m, n)
+        if (m, n) not in algebras:
+            algebras[m, n] = FiniteMonadicAlgebra.from_carrier(
+                m, n, core.enumerate_power(m, n)
+            )
+        algebra = algebras[m, n]
+        result = _eval_in_tables(algebra, formula, valuation)
+        assert algebra.carrier[result] == core.eval_in_power(formula, valuation, n)
