@@ -505,30 +505,41 @@ class AxiomAuditReport:
 
 
 def _scan_instance(
-    instance: Formula, m_max: int, n_max: int, cap: int, seed_base: tuple
+    instance: Formula, nvars: int, m_max: int, n_max: int, cap: int, seed_base: tuple
 ) -> tuple[int, AuditViolation | None]:
-    """Scan one instance over every cell; stop at the first violation."""
+    """Scan one instance over every cell; stop at the first violation.
+
+    When every cell is exhaustive, a clean instance is settled by one
+    multiset scan (`enumeration.valid_in_cells`) and reports the size of
+    the cells it stands for; a failing one, or one with a sampled cell, is
+    scanned cell by cell, so violations and seed streams are those of the
+    per-cell scan.
+    """
+    cells = [(m, n) for m in range(1, m_max + 1) for n in range(1, n_max + 1)]
+    if all(enumeration.check_cell(m, n, nvars, cap) for m, n in cells) and (
+        enumeration.valid_in_cells(instance, m_max, n_max)
+    ):
+        return sum(enumeration.cell_size(m, n, nvars) for m, n in cells), None
     checked = 0
-    for m in range(1, m_max + 1):
-        for n in range(1, n_max + 1):
-            result = enumeration.scan_cell([], instance, m, n, cap, (*seed_base, m, n))
-            checked += result.checked
-            if result.found:
-                value = core.eval_in_power(instance, result.valuation, n)
-                if all(v == 1 for v in value):
-                    raise RuntimeError(
-                        "bulk evaluation and exact evaluation disagree on "
-                        f"{print_formula(instance)} at m={m} n={n}"
-                    )
-                violation = AuditViolation(
-                    schema="",
-                    instance=print_formula(instance),
-                    m=m,
-                    n=n,
-                    valuation=result.valuation,
-                    value=value,
+    for m, n in cells:
+        result = enumeration.scan_cell([], instance, m, n, cap, (*seed_base, m, n))
+        checked += result.checked
+        if result.found:
+            value = core.eval_in_power(instance, result.valuation, n)
+            if all(v == 1 for v in value):
+                raise RuntimeError(
+                    "bulk evaluation and exact evaluation disagree on "
+                    f"{print_formula(instance)} at m={m} n={n}"
                 )
-                return checked, violation
+            violation = AuditViolation(
+                schema="",
+                instance=print_formula(instance),
+                m=m,
+                n=n,
+                valuation=result.valuation,
+                value=value,
+            )
+            return checked, violation
     return checked, None
 
 
@@ -536,8 +547,8 @@ def _audit_chunk(args: tuple) -> tuple[int, list[tuple[int, AuditViolation]]]:
     instances, m_max, n_max, cap, seed_base = args
     checked = 0
     violations: list[tuple[int, AuditViolation]] = []
-    for offset, instance in instances:
-        got, violation = _scan_instance(instance, m_max, n_max, cap, (*seed_base, offset))
+    for offset, instance, nvars in instances:
+        got, violation = _scan_instance(instance, nvars, m_max, n_max, cap, (*seed_base, offset))
         checked += got
         if violation is not None:
             violations.append((offset, violation))
@@ -562,12 +573,23 @@ def axiom_soundness_audit(
     Violations are re-verified through the exact scalar route before being
     reported.  Raises ValueError before scanning any cell when one within the
     cap is too large to index (see `enumeration.check_cell`).
+
+    An instance whose cells are all exhaustive is first decided in one pass.
+    Its value at a world depends only on that world's row of variable values
+    and on the set of rows of all the worlds, so permuting or duplicating
+    worlds changes nothing, and L_m' is a subalgebra of L_m whenever m'
+    divides m.  Every m' <= m_max divides some m in m_max // 2 + 1 .. m_max,
+    and every n' <= n_max worlds can be padded to n_max by repeating one, so
+    the instance is valid in all the cells exactly when it holds on every
+    multiset of n_max rows over those L_m.  A valid instance reports the
+    assignments of all its cells, as the per-cell scan would; any other is
+    scanned cell by cell, which finds and re-verifies the first violation.
     """
     if axioms is None:
         axioms = DEFAULT_AXIOMS
     report = AxiomAuditReport(m_max=m_max, n_max=n_max, cap=cap, seed=seed, trials=trials)
     rng = random.Random(seed)
-    drawn: dict[str, tuple[list[Formula], dict[Formula, list[int]]]] = {}
+    drawn: dict[str, tuple[list[Formula], dict[Formula, list[int]], list[tuple]]] = {}
     for name, pattern in axioms.items():
         instances = [
             random_instance(rng, pattern, names, max_depth) for _ in range(trials)
@@ -576,13 +598,16 @@ def axiom_soundness_audit(
         unique: dict[Formula, list[int]] = {}
         for offset, instance in enumerate(instances):
             unique.setdefault(instance, []).append(offset)
-        drawn[name] = instances, unique
-    for nvars in {len(variables(f)) for _, unique in drawn.values() for f in unique}:
+        work = [
+            (offsets[0], instance, len(variables(instance)))
+            for instance, offsets in unique.items()
+        ]
+        drawn[name] = instances, unique, work
+    for nvars in {nvars for _, _, work in drawn.values() for _, _, nvars in work}:
         for m in range(1, m_max + 1):
             for n in range(1, n_max + 1):
                 enumeration.check_cell(m, n, nvars, cap)
-    for schema_index, (name, (instances, unique)) in enumerate(drawn.items()):
-        work = [(offsets[0], instance) for instance, offsets in unique.items()]
+    for schema_index, (name, (instances, unique, work)) in enumerate(drawn.items()):
         seed_base = (seed, schema_index)
         checked = 0
         found: list[tuple[int, AuditViolation]] = []

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from mmv import core, enumeration
-from mmv.enumeration import cell_size, eval_bulk, scan_cell
+from mmv.enumeration import cell_size, eval_bulk, scan_cell, valid_in_cells
 from mmv.proofs import DEFAULT_AXIOMS
 from mmv.randgen import random_formula, random_instance
-from mmv.syntax import parse, variables
+from mmv.syntax import parse, schema, variables
 
 
 def test_cell_sizes():
@@ -190,3 +190,94 @@ def test_bulk_evaluation_matches_exact_evaluation(seed):
     got = np.broadcast_to(got, (len(expected), n))
     for row, exact in zip(got, expected):
         assert tuple(F(int(x), m) for x in row) == exact
+
+
+# ---------------------------------------------------------------------------
+# valid_in_cells: one scan of world-row multisets against every cell
+
+
+@pytest.mark.parametrize("m, n, nvars", [(1, 3, 2), (2, 2, 2), (3, 3, 1), (2, 3, 0)])
+def test_multiset_grids_list_every_multiset_of_rows_once(m, n, nvars, monkeypatch):
+    rows = list(itertools.product(range(m, -1, -1), repeat=nvars))
+    expected = list(itertools.combinations_with_replacement(rows, n))
+    # a cache too small for all chunks makes the second pass mix hits and misses
+    monkeypatch.setattr(enumeration, "_GRIDS", enumeration._GridCache(max_bytes=600))
+    for chunk in (enumeration._CHUNK, 1, 4, 7):
+        monkeypatch.setattr(enumeration, "_CHUNK", chunk)
+        for _ in range(2):
+            got = []
+            for grid in enumeration._multiset_grids(m, n, nvars):
+                assert grid.shape[:2] == (nvars, n) and not grid.flags.writeable
+                got.extend(
+                    tuple(tuple(int(x) for x in grid[:, w, a]) for w in range(n))
+                    for a in range(grid.shape[-1])
+                )
+            assert got == expected
+
+
+# Fail exactly when all worlds agree on p / when three distinct rows occur /
+# over chains L_m with m even / with 3 | m / only when p = 1 at every world
+# (the first multiset) / only when p = 0 at every world (the last one).
+_AGREE = " (+) ".join(["~(<>p -> []p)"] * 4)
+_THREE_ROWS = "~(<>(p * ~q * ~r) * <>(q * ~p * ~r) * <>(r * ~p * ~q))"
+_HALF = "((p -> ~p) /\\ (~p -> p))"
+_THIRD = "((p -> ~(p (+) p)) /\\ (~(p (+) p) -> p))"
+_SHAPED = {
+    _AGREE: {(m, n) for m in range(1, 5) for n in range(1, 4)},
+    _THREE_ROWS: {(m, 3) for m in range(1, 5)},
+    f"~({_HALF} * {_HALF} * {_HALF})": {(m, n) for m in (2, 4) for n in range(1, 4)},
+    f"~({' * '.join([_THIRD] * 4)})": {(3, n) for n in range(1, 4)},
+    " (+) ".join(["<>~p"] * 4): {(m, n) for m in range(1, 5) for n in range(1, 4)},
+    " (+) ".join(["<>p"] * 4): {(m, n) for m in range(1, 5) for n in range(1, 4)},
+}
+_UNSOUND = ("phi -> []phi", "<>phi -> []phi", "phi -> phi*phi", "[]phi \\/ []~phi")
+
+
+def _failing_cells(formula):
+    """Cells m <= 4, n <= 3 where the per-cell scan finds a failure."""
+    return {
+        (m, n)
+        for m in range(1, 5)
+        for n in range(1, 4)
+        if scan_cell([], formula, m, n, cap=10**7, seed=0).found
+    }
+
+
+def _differential_cases():
+    rng = random.Random(2024)
+    names = ("p", "q", "r")
+    cases = [(parse(text), cells) for text, cells in _SHAPED.items()]
+    patterns = [schema(text) for text in _UNSOUND] + list(DEFAULT_AXIOMS.values())[:6]
+    for pattern in patterns:
+        cases.append((random_instance(rng, pattern, names[:2], max_depth=2), None))
+    for _ in range(12):
+        cases.append((random_formula(rng, names[: rng.randint(1, 3)], max_depth=3), None))
+    return cases
+
+
+@pytest.mark.parametrize("chunk", (None, 5))
+def test_valid_in_cells_matches_every_per_cell_scan(chunk, monkeypatch):
+    # m_max = 4 checks the divisibility rule: L_2 sits inside L_4, so only
+    # m = 3 and m = 4 are scanned; L_1 and L_2 are covered by L_4
+    cases = [(formula, _failing_cells(formula), shaped) for formula, shaped in _differential_cases()]
+    if chunk is not None:
+        monkeypatch.setattr(enumeration, "_CHUNK", chunk)
+        monkeypatch.setattr(enumeration, "_GRIDS", enumeration._GridCache(max_bytes=4000))
+    for formula, failing, shaped in cases:
+        if shaped is not None:
+            assert failing == shaped
+        for m_max in range(1, 5):
+            for n_max in range(1, 4):
+                expected = any(m <= m_max and n <= n_max for m, n in failing)
+                assert valid_in_cells(formula, m_max, n_max) == (not expected), (
+                    formula,
+                    m_max,
+                    n_max,
+                )
+
+
+def test_valid_in_cells_without_cells():
+    assert valid_in_cells(parse("0"), 0, 3)
+    assert valid_in_cells(parse("0"), 3, 0)
+    assert not valid_in_cells(parse("0"), 1, 1)
+    assert valid_in_cells(parse("1 -> 1"), 3, 3)

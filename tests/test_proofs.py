@@ -12,6 +12,7 @@ from mmv import enumeration
 from mmv.proofs import (
     ACCEPT,
     ACCEPT_BOUNDED,
+    DEFAULT_AXIOMS,
     REJECT,
     Axiom,
     BoxInf,
@@ -370,10 +371,46 @@ def test_axiom_audit_rejects_unindexable_cells_before_scanning(monkeypatch):
         raise AssertionError("scanned a cell before checking them all")
 
     monkeypatch.setattr(enumeration, "scan_cell", no_scan)
+    monkeypatch.setattr(enumeration, "valid_in_cells", no_scan)
     with pytest.raises(ValueError, match="2\\*\\*63"):
         axiom_soundness_audit(
             trials=2, m_max=2, n_max=3, cap=3**42, axioms={"T": schema("phi -> phi"), "WIDE": wide}
         )
+
+
+_UNSOUND = {
+    f"U{i}": schema(text)
+    for i, text in enumerate(
+        ("phi -> []phi", "<>phi -> []phi", "phi -> phi*phi", "[]phi \\/ []~phi")
+    )
+}
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        dict(trials=4, seed=0),
+        dict(trials=12, seed=5, m_max=4, n_max=2, cap=10**5),
+        dict(trials=12, seed=6, m_max=2, n_max=3, axioms=_UNSOUND),
+        dict(trials=12, seed=7, m_max=4, n_max=3, cap=10**7, axioms=_UNSOUND),
+        dict(trials=12, seed=8, m_max=3, n_max=1, axioms=_UNSOUND),
+        # cells above 300 assignments are sampled, so the per-cell route runs
+        dict(trials=12, seed=9, cap=300, axioms={**_UNSOUND, **DEFAULT_AXIOMS}),
+    ],
+)
+def test_axiom_audit_multiset_route_reports_what_the_cell_scan_does(options, monkeypatch):
+    original = enumeration.valid_in_cells
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(enumeration, "valid_in_cells", counted)
+    report = axiom_soundness_audit(**options).to_json()
+    assert calls
+    monkeypatch.setattr(enumeration, "valid_in_cells", lambda *args: False)
+    assert report == axiom_soundness_audit(**options).to_json()
 
 
 def test_axiom_audit_flags_unsound_schema():
