@@ -34,9 +34,10 @@ D+1, first coordinate most significant, so keys sort like the tuples.  No
 intermediate exceeds 2D, nor a key (D+1)^n; an array is int64 when its bound
 passes `2 * bound < 2**62` and holds Python integers (dtype object)
 otherwise, so nothing overflows silently.  Fractions appear only at the
-boundary: carriers, labels and the mappings of representations and
-embeddings.  Tables are index arrays, so `validate` checks each identity for
-all elements at once by fancy indexing.
+boundary: carriers and labels, made once from sorted integer rows, and the
+mappings of representations and embeddings.  The only tables are read-only
+int32 index arrays, so `validate`, filters, classification and width checks
+ask each question for all elements at once by fancy indexing.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ def _scaled(
     return array, denominator
 
 
-def _fractions(row: np.ndarray, denominator: int) -> MonadicElement:
+def _fractions(row: Sequence[int], denominator: int) -> MonadicElement:
     return tuple(Fraction(int(k), denominator) for k in row)
 
 
@@ -167,12 +168,25 @@ def _row_blocks(rows: int, pairs_per_row: int) -> Iterable[slice]:
         yield slice(start, min(rows, start + step))
 
 
+def _index_table(values, shape: tuple[int, ...], size: int, message: str) -> np.ndarray:
+    """`values` as an array, in object form unless every entry is in range(size)."""
+    try:
+        table = np.asarray(values)
+    except ValueError:  # ragged, or entries of mixed nesting
+        table = np.array(values, dtype=object)
+    if table.shape != shape:
+        raise AlgebraError(message)
+    if table.dtype.kind in "biu" and 0 <= table.min() and table.max() < size:
+        return table
+    return np.array(values, dtype=object)
+
+
 class FiniteMonadicAlgebra:
     """Finite MV-algebra with a sup-quantifier, in table form.
 
-    Elements are indices 0..size-1 with display labels.  Functional algebras
-    additionally carry their chain denominator m, power exponent n, and the
-    carrier tuples aligned with the indices.
+    Elements are indices 0..size-1 with display labels, and the `*_table`
+    attributes are read-only int32 index arrays.  Functional algebras also
+    carry the chain denominator m, power exponent n and aligned carrier tuples.
     """
 
     def __init__(
@@ -193,16 +207,14 @@ class FiniteMonadicAlgebra:
             raise AlgebraError("empty carrier")
         if len(set(self.labels)) != size:
             raise AlgebraError("duplicate element labels")
-        self.impl_table = tuple(tuple(row) for row in impl)
-        if len(self.impl_table) != size or any(len(row) != size for row in self.impl_table):
-            raise AlgebraError(f"implication table must be {size}x{size}")
-        self.exists_table = tuple(exists)
-        if len(self.exists_table) != size:
-            raise AlgebraError(f"exists column must have {size} entries")
-        for value in itertools.chain((zero,), self.exists_table, *self.impl_table):
-            if not isinstance(value, int) or not 0 <= value < size:
-                raise AlgebraError(f"table entry {value!r} is not an element index")
-        self.zero = zero
+        impl = _index_table(impl, (size, size), size, f"implication table must be {size}x{size}")
+        exists = _index_table(exists, (size,), size, f"exists column must have {size} entries")
+        if object in (impl.dtype, exists.dtype) or not (isinstance(zero, int) and 0 <= zero < size):
+            for value in itertools.chain((zero,), exists.tolist(), impl.ravel().tolist()):
+                if not isinstance(value, int) or not 0 <= value < size:
+                    raise AlgebraError(f"table entry {value!r} is not an element index")
+        impl, exists = impl.astype(np.int32), exists.astype(np.int32)
+        self.zero = int(zero)
         self.m = m
         self.n = n
         self.carrier = tuple(carrier) if carrier is not None else None
@@ -210,28 +222,20 @@ class FiniteMonadicAlgebra:
         if self.carrier is not None and len(self.carrier) != size:
             raise AlgebraError("carrier does not match label count")
 
-        impl_a = np.array(self.impl_table, dtype=np.int32).reshape(size, size)
-        exists_a = np.array(self.exists_table, dtype=np.int32)
-        neg = impl_a[:, zero]
-        join = impl_a[impl_a, np.arange(size)]
-        # index arrays of the tables, read by validate and the verifiers
-        self._arrays = {
-            "impl": impl_a,
-            "neg": neg,
-            "oplus": impl_a[neg],
-            "star": neg[impl_a[:, neg]],
-            "join": join,
-            "meet": neg[join[np.ix_(neg, neg)]],
-            "exists": exists_a,
-            "forall": neg[exists_a[neg]],
-        }
-        self.neg_table = tuple(neg.tolist())
-        self.one = self.neg_table[zero]
-        self.oplus_table, self.star_table, self.join_table, self.meet_table = (
-            tuple(map(tuple, self._arrays[name].tolist()))
-            for name in ("oplus", "star", "join", "meet")
-        )
-        self.forall_table = tuple(self._arrays["forall"].tolist())
+        neg = impl[:, zero]
+        join = impl[impl, np.arange(size)]
+        self.impl_table = impl
+        self.neg_table = neg
+        self.oplus_table = impl[neg]
+        self.star_table = neg[impl[:, neg]]
+        self.join_table = join
+        self.meet_table = neg[join[np.ix_(neg, neg)]]
+        self.exists_table = exists
+        self.forall_table = neg[exists[neg]]
+        for table in (impl, neg, self.oplus_table, self.star_table, join,
+                      self.meet_table, exists, self.forall_table):
+            table.flags.writeable = False
+        self.one = int(neg[zero])
 
         if check:
             violations = self.validate()
@@ -253,21 +257,22 @@ class FiniteMonadicAlgebra:
         return self.labels[index]
 
     def leq(self, a: int, b: int) -> bool:
-        return self.impl_table[a][b] == self.one
+        return bool(self.impl_table[a, b] == self.one)
 
     def idempotents(self) -> list[int]:
-        return [a for a in range(self.size) if self.star_table[a][a] == a]
+        a = np.arange(self.size)
+        return np.flatnonzero(self.star_table[a, a] == a).tolist()
 
     def star_power(self, a: int, exponent: int) -> int:
         if exponent < 0:
             raise ValueError("negative exponent")
         result = self.one
         for _ in range(exponent):
-            result = self.star_table[result][a]
+            result = int(self.star_table[result, a])
         return result
 
     def exists_image(self) -> list[int]:
-        return sorted(set(self.exists_table))
+        return np.flatnonzero(np.isin(np.arange(self.size), self.exists_table)).tolist()
 
     # -- construction from a functional carrier
 
@@ -291,6 +296,14 @@ class FiniteMonadicAlgebra:
         # the zero tuple is the least element, so it comes first if present
         if carrier[0] != core.const_tuple(_ZERO, n):
             raise AlgebraError("carrier lacks the zero tuple")
+        rows, _ = _scaled(carrier, n, m)
+        return cls._from_rows(m, n, rows, _keys(rows, m + 1), generators, check)
+
+    @classmethod
+    def _from_rows(cls, m: int, n: int, rows: np.ndarray, keys: np.ndarray, generators, check):
+        """The algebra on distinct rows over m with ascending keys, zero row first."""
+        carrier = [_fractions(row, m) for row in rows.tolist()]
+        labels = [_element_label(e) for e in carrier]
 
         def not_closed(description: str, row: np.ndarray) -> AlgebraError:
             return AlgebraError(
@@ -298,31 +311,26 @@ class FiniteMonadicAlgebra:
                 f"{_element_label(_fractions(row, m))}"
             )
 
-        rows, _ = _scaled(carrier, n, m)
-        keys = _keys(rows, m + 1)  # ascending, since the carrier is sorted
-        size = len(carrier)
-        impl = np.empty((size, size), dtype=np.intp)
+        size = len(rows)
+        impl = np.empty((size, size), dtype=np.int32)
         for block in _row_blocks(size, size):
             found = _find(keys, _keys(_impl(rows[block, None], rows, m), m + 1))
             missing = _first(found < 0)
             if missing is not None:
                 a, b = block.start + missing[0], missing[1]
-                raise not_closed(
-                    f"{_element_label(carrier[a])} -> {_element_label(carrier[b])}",
-                    _impl(rows[a], rows[b], m),
-                )
+                raise not_closed(f"{labels[a]} -> {labels[b]}", _impl(rows[a], rows[b], m))
             impl[block] = found
         sups = np.repeat(rows.max(axis=1, keepdims=True), n, axis=1)
         exists = _find(keys, _keys(sups, m + 1))
         missing = _first(exists < 0)
         if missing is not None:
             a = missing[0]
-            raise not_closed(f"exists {_element_label(carrier[a])}", sups[a])
+            raise not_closed(f"exists {labels[a]}", sups[a])
         return cls(
-            labels=[_element_label(e) for e in carrier],
-            impl=impl.tolist(),
+            labels=labels,
+            impl=impl,
             zero=0,
-            exists=exists.tolist(),
+            exists=exists,
             m=m,
             n=n,
             carrier=carrier,
@@ -341,9 +349,9 @@ class FiniteMonadicAlgebra:
         the cubic associativity check runs in blocks of a.
         """
         violations: list[Violation] = []
-        t = self._arrays
-        oplus, neg, star = t["oplus"], t["neg"], t["star"]
-        impl, join, forall, exists = t["impl"], t["join"], t["forall"], t["exists"]
+        oplus, neg, star = self.oplus_table, self.neg_table, self.star_table
+        impl, join = self.impl_table, self.join_table
+        forall, exists = self.forall_table, self.exists_table
         zero, one = self.zero, self.one
         a = np.arange(self.size)
 
@@ -435,9 +443,7 @@ def generate_subalgebra(
         keys = np.concatenate([keys, fresh_keys])[order]
         closure = np.concatenate([closure, fresh])[order]
         frontier = fresh
-    return FiniteMonadicAlgebra.from_carrier(
-        m, n, [_fractions(row, m) for row in closure], generators=generators, check=False
-    )
+    return FiniteMonadicAlgebra._from_rows(m, n, closure, keys, generators, check=False)
 
 
 def _closure_candidates(
@@ -458,10 +464,8 @@ def _closure_candidates(
 
 def filters(algebra: FiniteMonadicAlgebra) -> list[frozenset[int]]:
     """Every filter: up-sets of idempotent elements, smallest first."""
-    found = {
-        frozenset(a for a in range(algebra.size) if algebra.leq(e, a))
-        for e in algebra.idempotents()
-    }
+    above = algebra.impl_table[algebra.idempotents()] == algebra.one
+    found = {frozenset(np.flatnonzero(row).tolist()) for row in above}
     return sorted(found, key=lambda f: (len(f), sorted(f)))
 
 
@@ -473,15 +477,9 @@ def prime_filters(algebra: FiniteMonadicAlgebra) -> list[frozenset[int]]:
     """Proper filters where membership of a join forces a member disjunct."""
     result = []
     for f in proper_filters(algebra):
-        prime = True
-        for a in range(algebra.size):
-            if not prime:
-                break
-            for b in range(algebra.size):
-                if algebra.join_table[a][b] in f and a not in f and b not in f:
-                    prime = False
-                    break
-        if prime:
+        inside = np.isin(np.arange(algebra.size), list(f))
+        # is some join of two non-members a member?
+        if not inside[algebra.join_table[np.ix_(~inside, ~inside)]].any():
             result.append(f)
     return result
 
@@ -523,13 +521,7 @@ def orthogonal_width(
         raise AlgebraError(
             f"width brute force capped at {cap} elements, carrier has {len(vertices)}"
         )
-    adjacency = [0] * len(vertices)
-    one = algebra.one
-    for i, a in enumerate(vertices):
-        for j, b in enumerate(vertices):
-            if i != j and algebra.join_table[a][b] == one:
-                adjacency[i] |= 1 << j
-
+    adjacency = _adjacency(algebra, vertices)
     best: list[int] = []
 
     def expand(clique: list[int], candidates: int) -> None:
@@ -555,6 +547,14 @@ def orthogonal_width(
     return len(best), sorted(vertices[i] for i in best)
 
 
+def _adjacency(algebra: FiniteMonadicAlgebra, vertices: list[int]) -> list[int]:
+    """Bit j of entry i is set when vertices i != j join to 1."""
+    joins_to_one = algebra.join_table[np.ix_(vertices, vertices)] == algebra.one
+    np.fill_diagonal(joins_to_one, False)
+    packed = np.packbits(joins_to_one, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def width_equation_holds(
     algebra: FiniteMonadicAlgebra, k: int
 ) -> tuple[bool, tuple[int, ...] | None]:
@@ -570,17 +570,21 @@ def width_equation_holds(
     one = algebra.one
     meet, join, forall = algebra.meet_table, algebra.join_table, algebra.forall_table
     others = [a for a in range(algebra.size) if a != one]
-    for subset in itertools.combinations(others, k + 1):
-        premise = one
-        for i in range(len(subset)):
-            for j in range(i + 1, len(subset)):
-                premise = meet[premise][forall[join[subset[i]][subset[j]]]]
-        conclusion = algebra.zero
-        for a in subset:
-            conclusion = join[conclusion][forall[a]]
-        if algebra.impl_table[premise][conclusion] != one:
-            return False, subset
-    return True, None
+    subsets = itertools.chain.from_iterable(itertools.combinations(others, k + 1))
+    while True:
+        # the next _BLOCK subsets, one per row, in combinations order
+        x = np.fromiter(itertools.islice(subsets, _BLOCK * (k + 1)), dtype=np.intp)
+        x = x.reshape(-1, k + 1)
+        if not len(x):
+            return True, None
+        premise, conclusion = np.full(len(x), one), np.full(len(x), algebra.zero)
+        for i, j in itertools.combinations(range(k + 1), 2):
+            premise = meet[premise, forall[join[x[:, i], x[:, j]]]]
+        for column in x.T:
+            conclusion = join[conclusion, forall[column]]
+        failed = np.flatnonzero(algebra.impl_table[premise, conclusion] != one)
+        if len(failed):
+            return False, tuple(x[failed[0]].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -625,28 +629,30 @@ def _simplicity(algebra: FiniteMonadicAlgebra) -> tuple[bool, list[int] | None]:
     """
     if algebra.zero == algebra.one:
         return False, [algebra.zero]
-    image = set(algebra.exists_table)
-    for e in algebra.idempotents():
-        if e in image and e != algebra.one and e != algebra.zero:
-            return False, sorted(a for a in image if algebra.leq(e, a))
-    return True, None
+    a = np.arange(algebra.size)
+    image = np.isin(a, algebra.exists_table)
+    inner = (algebra.star_table[a, a] == a) & image & (a != algebra.one) & (a != algebra.zero)
+    if not inner.any():
+        return True, None
+    e = int(np.argmax(inner))  # the least such idempotent
+    return False, np.flatnonzero(image & (algebra.impl_table[e] == algebra.one)).tolist()
 
 
 def classify(algebra: FiniteMonadicAlgebra, width_cap: int = 64) -> Classification:
     """Subdirect irreducibility, simplicity, and orthogonal width.
 
-    The algebra is finitely subdirectly irreducible exactly when its
-    quantifier image is a chain, and simple exactly when that image has no
-    filter strictly between {1} and itself.
+    The algebra is finitely subdirectly irreducible exactly when it is
+    nontrivial and its quantifier image is a chain, and simple exactly when
+    that image has no filter strictly between {1} and itself.  So the
+    one-element algebra (0 = 1) is neither, and has no fsi witness.
     """
     image = algebra.exists_image()
-    fsi = True
-    fsi_witness = None
-    for a, b in itertools.combinations(image, 2):
-        if not algebra.leq(a, b) and not algebra.leq(b, a):
-            fsi = False
-            fsi_witness = (a, b)
-            break
+    fsi, fsi_witness = algebra.zero != algebra.one, None
+    if fsi:
+        le = algebra.impl_table[np.ix_(image, image)] == algebra.one
+        pair = _first(np.triu(~le & ~le.T, 1))  # in itertools.combinations order
+        if pair is not None:
+            fsi, fsi_witness = False, (image[pair[0]], image[pair[1]])
 
     simple, simple_witness = _simplicity(algebra)
     width, width_witness = orthogonal_width(algebra, cap=width_cap)
@@ -687,41 +693,29 @@ class Representation:
 
 def _quotient_ranks(
     algebra: FiniteMonadicAlgebra, filter_set: frozenset[int]
-) -> tuple[dict[int, int], int]:
+) -> tuple[list[int], int]:
     """Rank each element in the chain quotient by a maximal filter.
 
     Elements are identified when both implications between them land in the
     filter; classes are ordered by one-sided implication.  Returns the rank
-    map and the top rank.
+    of each element and the top rank.
     """
     impl = algebra.impl_table
+    inside = np.isin(np.arange(algebra.size), list(filter_set))
+    class_of = np.full(algebra.size, -1)
     reps: list[int] = []
-    class_of: dict[int, int] = {}
-    for a in range(algebra.size):
-        for idx, r in enumerate(reps):
-            if impl[a][r] in filter_set and impl[r][a] in filter_set:
-                class_of[a] = idx
-                break
-        else:
-            reps.append(a)
-            class_of[a] = len(reps) - 1
-    rank_of_class: list[int] = []
-    for i, r in enumerate(reps):
-        below = 0
-        for j, s in enumerate(reps):
-            if i == j:
-                continue
-            s_le_r = impl[s][r] in filter_set
-            r_le_s = impl[r][s] in filter_set
-            if not s_le_r and not r_le_s:
-                raise RuntimeError(
-                    "quotient by a maximal filter is not totally ordered"
-                )
-            if s_le_r:
-                below += 1
-        rank_of_class.append(below)
-    ranks = {a: rank_of_class[class_of[a]] for a in range(algebra.size)}
-    return ranks, len(reps) - 1
+    # the least element left starts a class of the elements left equivalent to it
+    while (left := class_of < 0).any():
+        r = int(np.argmax(left))
+        same = left & inside[impl[:, r]] & inside[impl[r]]
+        same[r] = True
+        class_of[same] = len(reps)
+        reps.append(r)
+    others = ~np.eye(len(reps), dtype=bool)
+    le = inside[impl[np.ix_(reps, reps)]] & others  # le[i, j]: class i below class j
+    if (~le & ~le.T & others).any():
+        raise RuntimeError("quotient by a maximal filter is not totally ordered")
+    return le.sum(axis=0)[class_of].tolist(), len(reps) - 1
 
 
 def represent_simple(
@@ -744,16 +738,14 @@ def represent_simple(
     if not maximal:
         raise RuntimeError("simple algebra has no maximal filter")
     denominators: list[int] = []
-    coordinates: list[dict[int, Fraction]] = []
+    coordinates: list[list[Fraction]] = []
     for filter_set in maximal:
         ranks, top = _quotient_ranks(algebra, filter_set)
         if top == 0:
             raise RuntimeError("quotient by a proper filter collapsed to a point")
         denominators.append(top)
-        coordinates.append({a: Fraction(r, top) for a, r in ranks.items()})
-    mapping = {
-        a: tuple(coord[a] for coord in coordinates) for a in range(algebra.size)
-    }
+        coordinates.append([Fraction(r, top) for r in ranks])
+    mapping = dict(enumerate(zip(*coordinates)))
     _verify_representation(algebra, mapping)
     return Representation(
         index_filters=tuple(maximal),
@@ -772,15 +764,14 @@ def _verify_representation(
     if mapping[algebra.zero] != core.const_tuple(_ZERO, width_n):
         raise RuntimeError("representation does not send 0 to 0")
     images, d = _scaled([mapping[a] for a in range(size)], width_n)
-    t = algebra._arrays
     # the checks of one element a in the order they are reported: its three
     # unary checks, then every (b, operation) pair
     unary_names = ("negation", "the sup-quantifier", "the inf-quantifier")
     unary = np.stack(
         [
-            (images[t["neg"]] != d - images).any(axis=1),
-            (images[t["exists"]] != images.max(axis=1, keepdims=True)).any(axis=1),
-            (images[t["forall"]] != images.min(axis=1, keepdims=True)).any(axis=1),
+            (images[algebra.neg_table] != d - images).any(axis=1),
+            (images[algebra.exists_table] != images.max(axis=1, keepdims=True)).any(axis=1),
+            (images[algebra.forall_table] != images.min(axis=1, keepdims=True)).any(axis=1),
         ],
         axis=1,
     )
@@ -788,7 +779,8 @@ def _verify_representation(
         left = images[block, None]
         binary = np.stack(
             [
-                (images[t[name][block]] != op(left, images, d)).any(axis=-1)
+                (images[getattr(algebra, f"{name}_table")[block]] != op(left, images, d))
+                .any(axis=-1)
                 for name, op in _INT_OPS.items()
             ],
             axis=-1,
@@ -895,34 +887,40 @@ def fep_embed(
         w = witnesses[element]
         if w not in chosen:
             chosen.append(w)
-    _separate(_scaled(subset, points)[0], chosen)
+    values, d = _scaled(subset, points)
+    _separate(values, chosen)
     if not chosen:
         chosen.append(0)
 
-    m = math.lcm(1, *(element[x].denominator for element in subset for x in chosen))
+    # the lcm of the denominators of the kept values k/d in lowest terms
+    m = d // math.gcd(d, *values[:, chosen].ravel().tolist())
     mapping = {element: tuple(element[x] for x in chosen) for element in subset}
-    _verify_fep(subset, mapping, m, len(chosen))
+    _verify_fep(subset, values, d, mapping, m, len(chosen))
     return FepEmbedding(m=m, n=len(chosen), points=tuple(chosen), mapping=mapping)
 
 
 def _verify_fep(
     subset: list[MonadicElement],
+    values: np.ndarray,
+    d: int,
     mapping: dict[MonadicElement, MonadicElement],
     m: int,
     n: int,
 ) -> None:
+    """Check `mapping` on the family whose numerators over d are `values`."""
     if len(set(mapping.values())) != len(subset):
         raise RuntimeError("restriction map is not injective")
-    for element, image in mapping.items():
-        if not core.in_power(image, m, n):
-            raise RuntimeError("restricted values escape the common chain")
+    images = [mapping[a] for a in subset]
+    if any(len(image) != n for image in images):
+        raise RuntimeError("restricted values escape the common chain")
+    images, e = _scaled(images, n)
+    if m % e or ((images < 0) | (images > e)).any():
+        raise RuntimeError("restricted values escape the common chain")
+    images = images.astype(_dtype(m)) * (m // e)
     if not subset:
         return
-    zero_fn = core.const_tuple(_ZERO, len(subset[0]))
-    if zero_fn in subset and mapping[zero_fn] != core.const_tuple(_ZERO, n):
+    if ((values == 0).all(axis=1) & (images != 0).any(axis=1)).any():
         raise RuntimeError("restriction map does not send 0 to 0")
-    values, d = _scaled(subset, len(subset[0]))
-    images, _ = _scaled([mapping[a] for a in subset], n, m)
     keys = _keys(values, d + 1)
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
@@ -1041,8 +1039,8 @@ def algebra_to_json(algebra: FiniteMonadicAlgebra, form: str | None = None) -> d
         return {
             "form": "tabular",
             "elements": list(algebra.labels),
-            "impl": [list(row) for row in algebra.impl_table],
+            "impl": algebra.impl_table.tolist(),
             "zero": algebra.zero,
-            "exists": list(algebra.exists_table),
+            "exists": algebra.exists_table.tolist(),
         }
     raise AlgebraError(f"unknown algebra form {form!r}")

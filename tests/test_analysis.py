@@ -602,8 +602,8 @@ def test_functional_json_round_trip():
     }
     again = algebra_from_json(data)
     assert again.size == algebra.size
-    assert again.impl_table == algebra.impl_table
-    assert again.exists_table == algebra.exists_table
+    assert again.impl_table.tolist() == algebra.impl_table.tolist()
+    assert again.exists_table.tolist() == algebra.exists_table.tolist()
 
 
 def test_tabular_json_round_trip():
@@ -612,8 +612,8 @@ def test_tabular_json_round_trip():
     assert sorted(data) == ["elements", "exists", "form", "impl", "zero"]
     again = algebra_from_json(data)
     assert again.labels == algebra.labels
-    assert again.impl_table == algebra.impl_table
-    assert again.exists_table == algebra.exists_table
+    assert again.impl_table.tolist() == algebra.impl_table.tolist()
+    assert again.exists_table.tolist() == algebra.exists_table.tolist()
 
 
 def test_corpus_algebra_files_load():
@@ -674,14 +674,14 @@ def _tables(algebra: FiniteMonadicAlgebra) -> dict:
     return {
         "labels": list(algebra.labels),
         "zero": algebra.zero,
-        "impl": [list(row) for row in algebra.impl_table],
-        "exists": list(algebra.exists_table),
-        "neg": list(algebra.neg_table),
-        "oplus": [list(row) for row in algebra.oplus_table],
-        "star": [list(row) for row in algebra.star_table],
-        "join": [list(row) for row in algebra.join_table],
-        "meet": [list(row) for row in algebra.meet_table],
-        "forall": list(algebra.forall_table),
+        "impl": algebra.impl_table.tolist(),
+        "exists": algebra.exists_table.tolist(),
+        "neg": algebra.neg_table.tolist(),
+        "oplus": algebra.oplus_table.tolist(),
+        "star": algebra.star_table.tolist(),
+        "join": algebra.join_table.tolist(),
+        "meet": algebra.meet_table.tolist(),
+        "forall": algebra.forall_table.tolist(),
     }
 
 
@@ -755,10 +755,8 @@ def reference_closure(m, n, generators, max_size):
 
 def reference_tables(carrier):
     index = {element: i for i, element in enumerate(carrier)}
-    impl = tuple(
-        tuple(index[core.power_binop("impl", a, b)] for b in carrier) for a in carrier
-    )
-    exists = tuple(index[core.exists_sup(a)] for a in carrier)
+    impl = [[index[core.power_binop("impl", a, b)] for b in carrier] for a in carrier]
+    exists = [index[core.exists_sup(a)] for a in carrier]
     return impl, exists
 
 
@@ -871,6 +869,11 @@ def reference_fep(subset, witnesses):
     return m, tuple(chosen), mapping
 
 
+def _family_numerators(family):
+    """The (values, d) pair that fep_embed hands to _verify_fep."""
+    return analysis._scaled(family, len(family[0]))
+
+
 def _message(check, *args):
     try:
         check(*args)
@@ -902,7 +905,9 @@ def test_generation_matches_fraction_reference(seed, block, monkeypatch):
     algebra = generate_subalgebra(m, n, generators, max_size=81)
     assert list(algebra.carrier) == expected
     assert list(algebra.labels) == [analysis._element_label(e) for e in expected]
-    assert (algebra.impl_table, algebra.exists_table) == reference_tables(expected)
+    assert (algebra.impl_table.tolist(), algebra.exists_table.tolist()) == reference_tables(
+        expected
+    )
     if algebra.size <= 27:
         assert algebra.validate() == []
         assert reference_validate(algebra) == []
@@ -1006,10 +1011,10 @@ def test_verify_representation_flags_each_corrupted_table(table, name):
     # mapping then disagrees there, and only there
     algebra = generate_subalgebra(2, 2, [(F(1), F(1, 2))])
     mapping = represent_simple(algebra).mapping
-    corrupted = algebra._arrays[table].copy()
+    corrupted = getattr(algebra, f"{table}_table").copy()
     entry = (4,) if corrupted.ndim == 1 else (4, 6)
     corrupted[entry] = (corrupted[entry] + 1) % algebra.size
-    algebra._arrays[table] = corrupted
+    setattr(algebra, f"{table}_table", corrupted)
     with pytest.raises(RuntimeError, match=f"^representation does not respect {name}$"):
         analysis._verify_representation(algebra, mapping)
 
@@ -1029,7 +1034,9 @@ def test_verify_fep_matches_reference(block, monkeypatch):
             candidates = list(itertools.product(core.enumerate_chain(2 * emb.m), repeat=emb.n))
             for mapping in _corrupted_mappings(emb.mapping, candidates, False):
                 expected = reference_verify_fep(family, mapping, m, emb.n)
-                assert _message(analysis._verify_fep, family, mapping, m, emb.n) == expected
+                assert _message(
+                    analysis._verify_fep, family, *_family_numerators(family), mapping, m, emb.n
+                ) == expected
                 seen.add(expected)
     assert seen == {
         None,
@@ -1102,7 +1109,7 @@ def test_fep_with_a_common_denominator_past_int64():
     assert emb.m >= 2**63
     mapping = dict(emb.mapping)
     mapping[family[2]] = tuple(F(1, 2 * primes[0]) if v == F(1, primes[0]) else v for v in mapping[family[2]])
-    assert _message(analysis._verify_fep, family, mapping, 2 * emb.m, emb.n) == (
-        reference_verify_fep(family, mapping, 2 * emb.m, emb.n)
-    )
+    assert _message(
+        analysis._verify_fep, family, *_family_numerators(family), mapping, 2 * emb.m, emb.n
+    ) == reference_verify_fep(family, mapping, 2 * emb.m, emb.n)
     assert reference_verify_fep(family, mapping, 2 * emb.m, emb.n) is not None

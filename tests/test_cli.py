@@ -351,6 +351,36 @@ def test_algebra_validate_reports_violations(runner):
     assert "M2" in result.output
 
 
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("impl", 1), [2, 3, 2], "implication table must be 4x4"),
+        (("impl", 0, 1), 1.5, "table entry 1.5 is not an element index"),
+        (("impl", 0, 0), 3.0, "table entry 3.0 is not an element index"),
+        (("impl", 2, 0), "1", "table entry '1' is not an element index"),
+        (("impl", 3, 3), -1, "table entry -1 is not an element index"),
+        (("exists", 2), 4, "table entry 4 is not an element index"),
+        (("exists",), [0, 1, 2], "exists column must have 4 entries"),
+        (("zero",), "0", "table entry '0' is not an element index"),
+        (("zero",), 0.5, "table entry 0.5 is not an element index"),
+    ],
+    ids=["ragged", "float", "integral-float", "string", "negative", "too-large",
+         "short-exists", "string-zero", "float-zero"],
+)
+def test_algebra_validate_rejects_malformed_tables(runner, tmp_path, path, value, message):
+    data = json.loads((CORPUS / "algebras" / "identity-quantifier-product.json").read_text())
+    *parents, last = path
+    target = data
+    for step in parents:
+        target = target[step]
+    target[last] = value
+    bad = tmp_path / "alg.json"
+    bad.write_text(json.dumps(data))
+    result = invoke(runner, "algebra", "validate", str(bad))
+    assert result.exit_code == 2
+    assert result.output == f"error: bad algebra: {message}\n"
+
+
 def test_algebra_classify_json(runner):
     result = invoke(
         runner,
