@@ -232,22 +232,7 @@ def prove_command(
     Exit 0 for Accept or Accept-Bounded, 1 for Reject.
     """
     proof = proofs.proof_from_json(_load_json(proof_file))
-    axioms = proofs.axiom_table(width=width)
-    verdict = None
-    if boxinf_bound is not None:
-        for index, step in enumerate(proof.steps):
-            if isinstance(step.by, proofs.BoxInf) and step.by.bound > boxinf_bound:
-                verdict = proofs.Verdict(
-                    proofs.REJECT,
-                    step=index,
-                    reason=(
-                        f"instantiation bound {step.by.bound} exceeds "
-                        f"--boxinf-bound {boxinf_bound}"
-                    ),
-                )
-                break
-    if verdict is None:
-        verdict = proofs.check_proof(proof, axioms)
+    verdict = proofs.check_proof(proof, proofs.axiom_table(width=width), boxinf_bound)
     if as_json:
         _echo_json(verdict.to_json())
     elif verdict.status == proofs.ACCEPT:

@@ -16,7 +16,11 @@ verdict records the smallest bound audited in the proof.
 The audits do not trust the axiom table: `axiom_soundness_audit` instantiates
 every schema at random and grinds the instances through exhaustive (or
 sampled) valuation grids, and `derived_rule_audit` checks the semantic fact
-behind each admissible rule on random finite structures.
+behind each admissible rule on random finite structures.  An instance valid
+on every row multiset is settled in one pass; any other is scanned by
+`search.scan_cells`, the same scan `refute` uses, which re-verifies the first
+violation exactly.  The distinct instances of all schemas share one
+`search.fan_out` call, so `jobs` changes no report.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from . import core, enumeration, semantics
-from .randgen import metavariables, random_formula, random_instance, random_valuation
+from . import core, enumeration, search, semantics
+from .randgen import check_trials, metavariables, random_formula, random_instance, random_valuation
 from .syntax import (
     Box,
     Formula,
@@ -230,10 +234,15 @@ def _strip_side_conditions(pattern: Formula) -> Formula:
     return substitute(pattern, binding)
 
 
-def check_proof(proof: Proof, axioms: Mapping[str, Formula] = DEFAULT_AXIOMS) -> Verdict:
+def check_proof(
+    proof: Proof,
+    axioms: Mapping[str, Formula] = DEFAULT_AXIOMS,
+    boxinf_bound: int | None = None,
+) -> Verdict:
     """Validate every step; first failure wins.
 
-    Steps may only cite strictly earlier steps.  Proofs free of the
+    Steps may only cite strictly earlier steps.  A `BoxInf` step whose bound
+    exceeds `boxinf_bound` (when given) is rejected.  Proofs free of the
     infinitary rule come back "accept"; otherwise "accept-bounded" with the
     smallest audited bound.
     """
@@ -297,6 +306,11 @@ def check_proof(proof: Proof, axioms: Mapping[str, Formula] = DEFAULT_AXIOMS) ->
                     f"expected {print_formula(expected)}",
                 )
         elif isinstance(by, BoxInf):
+            if boxinf_bound is not None and by.bound > boxinf_bound:
+                return reject(
+                    idx,
+                    f"instantiation bound {by.bound} exceeds --boxinf-bound {boxinf_bound}",
+                )
             if by.bound < 1:
                 return reject(idx, f"bound must be >= 1, got {by.bound}")
             binding = match_schema(_BOXINF_SHAPE, by.template)
@@ -504,55 +518,27 @@ class AxiomAuditReport:
         }
 
 
-def _scan_instance(
-    instance: Formula, nvars: int, m_max: int, n_max: int, cap: int, seed_base: tuple
-) -> tuple[int, AuditViolation | None]:
-    """Scan one instance over every cell; stop at the first violation.
+def _scan_instance(task: tuple) -> tuple[int, AuditViolation | None]:
+    """Scan one instance of a schema over every cell up to its first violation.
 
     When every cell is exhaustive, a clean instance is settled by one
     multiset scan (`enumeration.valid_in_cells`) and reports the size of
-    the cells it stands for; a failing one, or one with a sampled cell, is
-    scanned cell by cell, so violations and seed streams are those of the
-    per-cell scan.
+    the cells it stands for; a failing one, or one with a sampled cell, goes
+    through `search.scan_cells` with m-major cells, so violations and seed
+    streams are those of the per-cell scan.
     """
+    name, instance, nvars, m_max, n_max, cap, seed_base = task
     cells = [(m, n) for m in range(1, m_max + 1) for n in range(1, n_max + 1)]
     if all(enumeration.check_cell(m, n, nvars, cap) for m, n in cells) and (
         enumeration.valid_in_cells(instance, m_max, n_max)
     ):
         return sum(enumeration.cell_size(m, n, nvars) for m, n in cells), None
-    checked = 0
-    for m, n in cells:
-        result = enumeration.scan_cell([], instance, m, n, cap, (*seed_base, m, n))
-        checked += result.checked
-        if result.found:
-            value = core.eval_in_power(instance, result.valuation, n)
-            if all(v == 1 for v in value):
-                raise RuntimeError(
-                    "bulk evaluation and exact evaluation disagree on "
-                    f"{print_formula(instance)} at m={m} n={n}"
-                )
-            violation = AuditViolation(
-                schema="",
-                instance=print_formula(instance),
-                m=m,
-                n=n,
-                valuation=result.valuation,
-                value=value,
-            )
-            return checked, violation
-    return checked, None
-
-
-def _audit_chunk(args: tuple) -> tuple[int, list[tuple[int, AuditViolation]]]:
-    instances, m_max, n_max, cap, seed_base = args
-    checked = 0
-    violations: list[tuple[int, AuditViolation]] = []
-    for offset, instance, nvars in instances:
-        got, violation = _scan_instance(instance, nvars, m_max, n_max, cap, (*seed_base, offset))
-        checked += got
-        if violation is not None:
-            violations.append((offset, violation))
-    return checked, violations
+    checked, _, hit = search.scan_cells((), instance, nvars, cells, cap, seed_base)
+    if hit is None:
+        return checked, None
+    m, n, valuation, values = hit
+    text = print_formula(instance)
+    return checked, AuditViolation(name, text, m, n, valuation, values[text])
 
 
 def axiom_soundness_audit(
@@ -571,8 +557,11 @@ def axiom_soundness_audit(
     Every cell (m, n) with m <= m_max, n <= n_max is enumerated exhaustively
     when it has at most `cap` assignments and sampled uniformly otherwise.
     Violations are re-verified through the exact scalar route before being
-    reported.  Raises ValueError before scanning any cell when one within the
-    cap is too large to index (see `enumeration.check_cell`).
+    reported.  Raises ValueError before any work for a negative trial count
+    or a budget `search.SearchBudget` rejects, and before scanning any cell
+    when one within the cap is too large to index (see
+    `enumeration.check_cell`).  The distinct instances of all schemas go
+    through one `search.fan_out`, so the report does not depend on jobs.
 
     An instance whose cells are all exhaustive is first decided in one pass.
     Its value at a world depends only on that world's row of variable values
@@ -587,57 +576,35 @@ def axiom_soundness_audit(
     """
     if axioms is None:
         axioms = DEFAULT_AXIOMS
-    report = AxiomAuditReport(m_max=m_max, n_max=n_max, cap=cap, seed=seed, trials=trials)
+    check_trials(trials)
+    search.SearchBudget(m_max=m_max, n_max=n_max, valuation_cap=cap, seed=seed)
+    report = AxiomAuditReport(
+        m_max=m_max, n_max=n_max, cap=cap, seed=seed, trials=trials,
+        assignments=dict.fromkeys(axioms, 0),
+    )
     rng = random.Random(seed)
-    drawn: dict[str, tuple[list[Formula], dict[Formula, list[int]], list[tuple]]] = {}
-    for name, pattern in axioms.items():
-        instances = [
-            random_instance(rng, pattern, names, max_depth) for _ in range(trials)
-        ]
-        # identical instances land on identical results; scan each once
-        unique: dict[Formula, list[int]] = {}
-        for offset, instance in enumerate(instances):
-            unique.setdefault(instance, []).append(offset)
-        work = [
-            (offsets[0], instance, len(variables(instance)))
-            for instance, offsets in unique.items()
-        ]
-        drawn[name] = instances, unique, work
-    for nvars in {nvars for _, _, work in drawn.values() for _, _, nvars in work}:
+    tasks: list[tuple] = []
+    counts: list[int] = []
+    for schema_index, (name, pattern) in enumerate(axioms.items()):
+        # identical instances land on identical results; scan each once, at
+        # the seed of its first offset, and repeat its violation
+        drawn: dict[Formula, list[int]] = {}
+        for offset in range(trials):
+            instance = random_instance(rng, pattern, names, max_depth)
+            drawn.setdefault(instance, [offset, 0])[1] += 1
+        for instance, (offset, count) in drawn.items():
+            nvars = len(variables(instance))
+            tasks.append((name, instance, nvars, m_max, n_max, cap, (seed, schema_index, offset)))
+            counts.append(count)
+    for nvars in {task[2] for task in tasks}:
         for m in range(1, m_max + 1):
             for n in range(1, n_max + 1):
                 enumeration.check_cell(m, n, nvars, cap)
-    for schema_index, (name, (instances, unique, work)) in enumerate(drawn.items()):
-        seed_base = (seed, schema_index)
-        checked = 0
-        found: list[tuple[int, AuditViolation]] = []
-        if jobs > 1 and len(work) > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            chunks = [
-                (work[i::jobs], m_max, n_max, cap, seed_base) for i in range(jobs)
-            ]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for got, violations in pool.map(_audit_chunk, chunks):
-                    checked += got
-                    found.extend(violations)
-        else:
-            got, violations = _audit_chunk((work, m_max, n_max, cap, seed_base))
-            checked, found = got, violations
-        report.assignments[name] = checked
-        for offset, violation in sorted(found, key=lambda pair: pair[0]):
-            multiplicity = len(unique[instances[offset]])
-            for _ in range(multiplicity):
-                report.violations.append(
-                    AuditViolation(
-                        schema=name,
-                        instance=violation.instance,
-                        m=violation.m,
-                        n=violation.n,
-                        valuation=violation.valuation,
-                        value=violation.value,
-                    )
-                )
+    results = search.fan_out(_scan_instance, tasks, jobs)
+    for task, count, (checked, violation) in zip(tasks, counts, results):
+        report.assignments[task[0]] += checked
+        if violation is not None:
+            report.violations += [violation] * count
     return report
 
 
@@ -688,6 +655,7 @@ def derived_rule_audit(
     """
     if rule not in DERIVED_RULES:
         raise ValueError(f"unknown rule {rule!r}; expected one of {DERIVED_RULES}")
+    check_trials(trials, m_max=m_max, n_max=n_max)
     rng = random.Random(seed)
     report = RuleAuditReport(rule=rule, trials=trials, applicable=0, seed=seed)
     for _ in range(trials):

@@ -93,3 +93,12 @@ def random_valuation(
         name: tuple(Fraction(rng.randrange(m + 1), m) for _ in range(n))
         for name in names
     }
+
+
+def check_trials(trials: int, **bounds: int) -> None:
+    """Reject a negative trial count, or any named bound below 1."""
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
+    for name, value in bounds.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")

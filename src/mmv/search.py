@@ -9,20 +9,26 @@ denominator and n the number of worlds, in order of cell cost
 valuations in a fixed order.  Cells larger than the budget's cap are sampled
 with the budget's seed instead of enumerated, so runs are reproducible.
 
-Every hit is re-verified through the exact scalar evaluator before being
-reported.  An "exhausted" verdict means only that the finite budget turned
-up nothing; it certifies nothing about validity, and reports say so.
+One routine, `scan_cells`, walks ordered cells up to the first hit for both
+`refute` and the per-cell route of `proofs.axiom_soundness_audit`: it checks
+every cell before scanning any, seeds each cell from the caller's seed and
+the cell, and re-verifies the hit through the exact scalar evaluator before
+it is reported.  `fan_out` is the one place worker processes start for
+`jobs`; results come back in task order, so they do not depend on jobs.
+An "exhausted" verdict means only that the finite budget turned up nothing;
+it certifies nothing about validity, and reports say so.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from functools import partial
+from typing import Callable, Iterator, Mapping, Sequence
 
 from . import core, enumeration, semantics
 from .core import MonadicElement
-from .randgen import random_valuation
+from .randgen import check_trials, random_valuation
 from .semantics import SafeStructure
 from .syntax import Box, Formula, Impl, Join, Star, parse, print_formula, variables
 
@@ -139,9 +145,65 @@ def _verify_countermodel(
     return values
 
 
-def _refute_cell(args: tuple) -> enumeration.CellResult:
-    premises, conclusion, m, n, cap, seed = args
-    return enumeration.scan_cell(premises, conclusion, m, n, cap, seed)
+def _scan_cell(
+    premises: tuple, conclusion: Formula, cap: int, seed_base: tuple, cell: tuple[int, int]
+) -> enumeration.CellResult:
+    m, n = cell
+    return enumeration.scan_cell(premises, conclusion, m, n, cap, (*seed_base, m, n))
+
+
+def fan_out(fn: Callable, tasks: Sequence, jobs: int = 1) -> Iterator:
+    """Map fn over the tasks, in task order, in up to `jobs` processes.
+
+    With jobs <= 1 or at most one task this is the builtin `map` and no
+    process starts; otherwise it is the `map` of a pool of min(jobs, tasks)
+    workers, so fn and the tasks must pickle.
+    """
+    if jobs <= 1 or len(tasks) <= 1:
+        return map(fn, tasks)
+    return _pool_map(fn, tasks, min(jobs, len(tasks)))
+
+
+def _pool_map(fn: Callable, tasks: Sequence, workers: int) -> Iterator:
+    """The `map` of a process pool; when the caller stops reading early,
+    tasks not yet started are cancelled and running ones waited for."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        yield from pool.map(fn, tasks)
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def scan_cells(
+    premises: Sequence[Formula],
+    conclusion: Formula,
+    nvars: int,
+    cells: Sequence[tuple[int, int]],
+    cap: int,
+    seed_base: tuple,
+    jobs: int = 1,
+) -> tuple[int, int, tuple | None]:
+    """Scan the cells in the order given up to the first verified hit.
+
+    `nvars` counts the distinct variables of the premises and conclusion.
+    Every cell passes `enumeration.check_cell` before any is scanned; cell
+    (m, n) is seeded with (*seed_base, m, n), and the first hit is
+    re-verified by `_verify_countermodel`.  The cells go through `fan_out`,
+    so the result does not depend on jobs.  Returns (assignments checked,
+    cells visited, hit), where hit is (m, n, valuation, values) or None.
+    """
+    for m, n in cells:
+        enumeration.check_cell(m, n, nvars, cap)
+    checked = 0
+    results = fan_out(partial(_scan_cell, premises, conclusion, cap, seed_base), cells, jobs)
+    for visited, ((m, n), result) in enumerate(zip(cells, results), 1):
+        checked += result.checked
+        if result.found:
+            values = _verify_countermodel(premises, conclusion, n, result.valuation)
+            return checked, visited, (m, n, dict(result.valuation), values)
+    return checked, len(cells), None
 
 
 def refute(
@@ -153,64 +215,21 @@ def refute(
     """Search the budgeted cells for a structure refuting the consequence.
 
     Returns the first verified countermodel in cell order, or an exhausted
-    report.  With jobs > 1 cells are scanned in parallel waves; the winner is
-    still the first cell in order, so results do not depend on jobs.
+    report; `scan_cells` does the scan, so results do not depend on jobs.
     Raises ValueError before scanning any cell when one within the cap is
     too large to index (see `enumeration.check_cell`).
     """
     premises = tuple(premises)
-    names = sorted(set().union(*(variables(f) for f in (*premises, conclusion))))
-    cells = _cells(budget, len(names))
-    for m, n in cells:
-        enumeration.check_cell(m, n, len(names), budget.valuation_cap)
-    visited: list[tuple[int, int]] = []
-    assignments = 0
-
-    def finish(index: int, result: enumeration.CellResult) -> SearchReport:
-        m, n = cells[index]
-        values = _verify_countermodel(premises, conclusion, n, result.valuation)
-        return SearchReport(
-            verdict="countermodel",
-            seed=budget.seed,
-            cells=visited,
-            assignments=assignments,
-            m=m,
-            n=n,
-            valuation=dict(result.valuation),
-            values=values,
-        )
-
-    if jobs <= 1:
-        for index, (m, n) in enumerate(cells):
-            result = _refute_cell(
-                (premises, conclusion, m, n, budget.valuation_cap, (budget.seed, m, n))
-            )
-            visited.append((m, n))
-            assignments += result.checked
-            if result.found:
-                return finish(index, result)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for wave_start in range(0, len(cells), jobs):
-                wave = cells[wave_start : wave_start + jobs]
-                args = [
-                    (premises, conclusion, m, n, budget.valuation_cap, (budget.seed, m, n))
-                    for m, n in wave
-                ]
-                results = list(pool.map(_refute_cell, args))
-                for offset, result in enumerate(results):
-                    visited.append(wave[offset])
-                    assignments += result.checked
-                    if result.found:
-                        return finish(wave_start + offset, result)
+    nvars = len(set().union(*(variables(f) for f in (*premises, conclusion))))
+    cells = _cells(budget, nvars)
+    checked, visited, hit = scan_cells(
+        premises, conclusion, nvars, cells, budget.valuation_cap, (budget.seed,), jobs
+    )
+    if hit is None:
+        return SearchReport("exhausted", budget.seed, cells, checked, caveat=EXHAUSTED_CAVEAT)
+    m, n, valuation, values = hit
     return SearchReport(
-        verdict="exhausted",
-        seed=budget.seed,
-        cells=visited,
-        assignments=assignments,
-        caveat=EXHAUSTED_CAVEAT,
+        "countermodel", budget.seed, cells[:visited], checked, m, n, valuation, values
     )
 
 
@@ -325,6 +344,7 @@ def boxinf_soundness_probe(
     checks populate `violations` when they fail.  Structures where the
     dichotomy fails are reported as finite-approximation gaps.
     """
+    check_trials(trials, bound=bound, m_max=m_max, n_max=n_max)
     alpha = parse("p") if alpha is None else alpha
     beta = parse("q") if beta is None else beta
     phi = parse("r") if phi is None else phi

@@ -316,6 +316,29 @@ def test_audit_rules_unknown_rule(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("axioms", "--cap", "0"), "valuation_cap must be >= 1"),
+        (("axioms", "--m-max", "0"), "m_max and n_max must be >= 1"),
+        (("axioms", "--n-max", "0"), "m_max and n_max must be >= 1"),
+        (("axioms", "--trials", "-1"), "trials must be >= 0, got -1"),
+        (("rules", "--trials", "-3"), "trials must be >= 0, got -3"),
+        (("rules", "--m-max", "0"), "m_max must be >= 1, got 0"),
+        (("rules", "--n-max", "0"), "n_max must be >= 1, got 0"),
+        (("boxinf", "--trials", "-1"), "trials must be >= 0, got -1"),
+        (("boxinf", "--bound", "0"), "bound must be >= 1, got 0"),
+        (("boxinf", "--m-max", "0"), "m_max must be >= 1, got 0"),
+        (("boxinf", "--n-max", "0"), "n_max must be >= 1, got 0"),
+    ],
+)
+def test_audits_reject_budgets_that_check_nothing(runner, args, message):
+    result = invoke(runner, "audit", *args)
+    assert result.exit_code == 2
+    assert f"error: {message}" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_audit_boxinf_clean(runner):
     result = invoke(
         runner, "audit", "boxinf", "--trials", "40", "--json"

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import copy
 import json
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -30,6 +32,7 @@ from mmv.proofs import (
     proof_to_json,
     width_schema,
 )
+from mmv.randgen import random_instance
 from mmv.semantics import SafeStructure, evaluate
 from mmv.syntax import parse, print_formula, schema
 
@@ -284,6 +287,24 @@ def test_boxinf_bound_must_be_positive():
     assert verdict.reason == "bound must be >= 1, got 0"
 
 
+def test_boxinf_bound_cap_rejects_oversized_steps():
+    proof = proof_from_json(_boxinf_base())
+    assert check_proof(proof, boxinf_bound=1).status == ACCEPT_BOUNDED
+    verdict = check_proof(proof, boxinf_bound=0)
+    assert (verdict.status, verdict.step) == (REJECT, 1)
+    assert verdict.reason == "instantiation bound 1 exceeds --boxinf-bound 0"
+
+
+def test_boxinf_bound_cap_yields_to_an_earlier_failing_step():
+    # first failure wins: a bad premise citation before the oversized
+    # bound is what the verdict reports
+    data = _boxinf_base()
+    data["steps"][0]["by"] = "premise:5"
+    verdict = check_proof(proof_from_json(data), boxinf_bound=0)
+    assert (verdict.status, verdict.step) == (REJECT, 0)
+    assert verdict.reason == "premise index 5 out of range"
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -411,6 +432,65 @@ def test_axiom_audit_multiset_route_reports_what_the_cell_scan_does(options, mon
     assert calls
     monkeypatch.setattr(enumeration, "valid_in_cells", lambda *args: False)
     assert report == axiom_soundness_audit(**options).to_json()
+
+
+# seed 1 draws repeated instances of U0, U1 and U2; cells above 300
+# assignments are sampled
+_REPEATED = dict(trials=12, seed=1, cap=300, axioms=_UNSOUND)
+
+
+def test_axiom_audit_report_does_not_depend_on_jobs():
+    reports = [axiom_soundness_audit(**_REPEATED, jobs=jobs).to_json() for jobs in (1, 2, 3)]
+    assert reports[0]["violations"]
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+def test_axiom_audit_seeds_cells_by_schema_first_offset_and_cell():
+    # an independent per-cell scan of each distinct instance, seeded
+    # (seed, schema index, first offset, m, n), gives the reported violations
+    # in order of first offset, each repeated by its multiplicity
+    report = axiom_soundness_audit(**_REPEATED)
+    rng = random.Random(1)
+    expected = []
+    repeated = 0
+    for schema_index, (name, pattern) in enumerate(_UNSOUND.items()):
+        instances = [random_instance(rng, pattern, ("p", "q", "r"), 3) for _ in range(12)]
+        for offset, instance in enumerate(instances):
+            if instances.index(instance) < offset:
+                repeated += 1
+                continue
+            for m, n in [(m, n) for m in range(1, 4) for n in range(1, 4)]:
+                seed = (1, schema_index, offset, m, n)
+                result = enumeration.scan_cell([], instance, m, n, 300, seed)
+                if result.found:
+                    hit = (name, print_formula(instance), m, n, result.valuation)
+                    expected += [hit] * instances.count(instance)
+                    break
+    assert repeated > 0
+    got = [(v.schema, v.instance, v.m, v.n, v.valuation) for v in report.violations]
+    assert got == expected
+
+
+def test_axiom_audit_builds_one_pool_for_all_schemas(fake_pool):
+    serial = axiom_soundness_audit(**_REPEATED).to_json()
+    assert fake_pool.built == []
+    assert axiom_soundness_audit(**_REPEATED, jobs=64).to_json() == serial
+    # one pool over the distinct instances of all four schemas: 48 draws,
+    # 6 of them repeats
+    assert [pool.max_workers for pool in fake_pool.built] == [42]
+    assert fake_pool.built[0].shutdowns == [(True, True)]
+
+
+def test_axiom_audit_re_verifies_every_violation(monkeypatch):
+    def false_hit(premises, target, m, n, cap, seed):
+        return enumeration.CellResult(True, {"p": (Fraction(1),) * n}, 1, True)
+
+    monkeypatch.setattr(enumeration, "scan_cell", false_hit)
+    monkeypatch.setattr(enumeration, "valid_in_cells", lambda *args: False)
+    with pytest.raises(RuntimeError, match="does not refute the conclusion"):
+        axiom_soundness_audit(
+            trials=1, m_max=1, n_max=1, axioms={"I": schema("phi -> phi")}, names=("p",)
+        )
 
 
 def test_axiom_audit_flags_unsound_schema():

@@ -15,6 +15,7 @@ from mmv.search import (
     boxinf_soundness_probe,
     countermodel_from_json,
     extend_structure,
+    fan_out,
     refute,
     refute_width_k,
     star_power_formula,
@@ -127,6 +128,77 @@ def test_parallel_search_matches_serial():
     serial = refute([], parse("<>(p*p) -> <>p * <>p"), jobs=1)
     parallel = refute([], parse("<>(p*p) -> <>p * <>p"), jobs=2)
     assert serial.to_json() == parallel.to_json()
+
+
+# the width-2 instance first fails with three worlds, at cell index 4; at cap
+# 100 that cell (512 assignments) is sampled
+WIDTH_TWO = parse("[](p \\/ q) /\\ [](p \\/ r) /\\ [](q \\/ r) -> []p \\/ []q \\/ []r")
+
+
+@pytest.mark.parametrize(
+    "conclusion, budget",
+    [
+        (parse("<>p -> []p"), SearchBudget()),
+        (WIDTH_TWO, SearchBudget(seed=9)),
+        (WIDTH_TWO, SearchBudget(valuation_cap=100, seed=9)),
+        (parse("<>(p*q) -> <>p*<>q"), SearchBudget(valuation_cap=30, seed=4)),
+    ],
+)
+def test_refute_report_does_not_depend_on_jobs(conclusion, budget):
+    reports = [refute([], conclusion, budget, jobs=jobs).to_json() for jobs in (1, 2, 3)]
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+def test_refute_seeds_each_cell_with_the_budget_seed_and_the_cell():
+    # an independent loop over the reported cells, seeded (seed, m, n), must
+    # end on the reported hit with the reported count
+    budget = SearchBudget(valuation_cap=100, seed=9)
+    report = refute([], WIDTH_TWO, budget)
+    assert report.cells[-1] == (1, 3)
+    assert not enumeration.check_cell(1, 3, 3, budget.valuation_cap)
+    checked = 0
+    results = []
+    for m, n in report.cells:
+        results.append(enumeration.scan_cell([], WIDTH_TWO, m, n, 100, (9, m, n)))
+        checked += results[-1].checked
+    assert [result.found for result in results] == [False] * 4 + [True]
+    assert results[-1].valuation == report.valuation
+    assert checked == report.assignments
+
+
+def test_refute_builds_one_pool_of_at_most_one_worker_per_cell(fake_pool):
+    conclusion = parse("<>(p*q) -> <>p*<>q")
+    serial = refute([], conclusion)
+    assert fake_pool.built == []
+    assert refute([], conclusion, jobs=64).to_json() == serial.to_json()
+    assert [pool.max_workers for pool in fake_pool.built] == [9]
+    assert fake_pool.built[0].shutdowns == [(True, True)]
+
+
+def test_refute_stopping_early_cancels_the_cells_left(fake_pool):
+    report = refute([], parse("<>p -> []p"), jobs=2)
+    assert report.cells_visited == 4
+    assert [pool.max_workers for pool in fake_pool.built] == [2]
+    assert fake_pool.built[0].shutdowns == [(True, True)]
+
+
+def test_fan_out_maps_in_order_without_a_pool_for_one_task(fake_pool):
+    assert list(fan_out(abs, [-3], jobs=8)) == [3]
+    assert list(fan_out(abs, [-1, 2, -3], jobs=1)) == [1, 2, 3]
+    assert fake_pool.built == []
+    assert list(fan_out(abs, [-1, 2, -3], jobs=8)) == [1, 2, 3]
+    assert [pool.max_workers for pool in fake_pool.built] == [3]
+
+
+def test_refute_re_verifies_every_hit(monkeypatch):
+    # a scanner that reports an all-ones "countermodel" of p -> p must be
+    # caught by the exact re-check, not reported
+    def false_hit(premises, target, m, n, cap, seed):
+        return enumeration.CellResult(True, {"p": (ONE,) * n}, 1, True)
+
+    monkeypatch.setattr(enumeration, "scan_cell", false_hit)
+    with pytest.raises(RuntimeError, match="does not refute the conclusion"):
+        refute([], parse("p -> p"))
 
 
 # ---------------------------------------------------------------------------
