@@ -8,226 +8,4 @@ infinitary rule), searches finite powers of finite chains for countermodels,
 and analyzes finite monadic MV-algebras.
 """
 
-from .analysis import (
-    AlgebraError,
-    Classification,
-    FepEmbedding,
-    FiniteMonadicAlgebra,
-    NotSimpleError,
-    Representation,
-    Violation,
-    WitnessError,
-    algebra_from_json,
-    algebra_to_json,
-    canonical_witnesses,
-    classify,
-    fep_embed,
-    filters,
-    generate_subalgebra,
-    maximal_filters,
-    orthogonal_width,
-    prime_filters,
-    proper_filters,
-    radical,
-    represent_simple,
-    width_equation_holds,
-)
-from .core import (
-    DimensionError,
-    MonadicElement,
-    Rational,
-    enumerate_chain,
-    enumerate_power,
-    eval_in_power,
-    exists_sup,
-    forall_inf,
-    format_rational,
-    format_tuple,
-    in_chain,
-    in_power,
-    mv_binop,
-    mv_impl,
-    mv_join,
-    mv_meet,
-    mv_neg,
-    mv_oplus,
-    mv_star,
-    oplus_multiple,
-    parse_rational,
-    parse_tuple,
-    power_binop,
-    power_neg,
-    star_power,
-)
-from .proofs import (
-    Axiom,
-    AxiomAuditReport,
-    BoxInf,
-    ModusPonens,
-    Necessitation,
-    Premise,
-    Proof,
-    ProofFormatError,
-    ProofStep,
-    RuleAuditReport,
-    Verdict,
-    axiom_soundness_audit,
-    axiom_table,
-    check_proof,
-    derived_rule_audit,
-    proof_from_json,
-    proof_to_json,
-    width_schema,
-)
-from .search import (
-    BoxInfProbeReport,
-    SearchBudget,
-    SearchReport,
-    boxinf_soundness_probe,
-    countermodel_from_json,
-    extend_structure,
-    refute,
-    refute_width_k,
-)
-from .semantics import (
-    ConsequenceVerdict,
-    SafeStructure,
-    check_consequence_on_model,
-    evaluate,
-    holds,
-    is_model,
-    model_from_json,
-    model_to_json,
-)
-from .syntax import (
-    Box,
-    Const,
-    Dia,
-    Formula,
-    Impl,
-    Join,
-    Meet,
-    MetaVar,
-    Not,
-    Oplus,
-    ParseError,
-    Star,
-    Var,
-    equiv,
-    is_modalized,
-    match_schema,
-    parse,
-    print_formula,
-    schema,
-    subformulas,
-    substitute,
-    variables,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlgebraError",
-    "Axiom",
-    "AxiomAuditReport",
-    "BoxInf",
-    "BoxInfProbeReport",
-    "Box",
-    "Classification",
-    "Const",
-    "ConsequenceVerdict",
-    "Dia",
-    "DimensionError",
-    "FepEmbedding",
-    "FiniteMonadicAlgebra",
-    "Formula",
-    "Impl",
-    "Join",
-    "Meet",
-    "MetaVar",
-    "ModusPonens",
-    "MonadicElement",
-    "Necessitation",
-    "Not",
-    "NotSimpleError",
-    "Oplus",
-    "ParseError",
-    "Premise",
-    "Proof",
-    "ProofFormatError",
-    "ProofStep",
-    "Rational",
-    "Representation",
-    "RuleAuditReport",
-    "SafeStructure",
-    "SearchBudget",
-    "SearchReport",
-    "Star",
-    "Var",
-    "Verdict",
-    "Violation",
-    "WitnessError",
-    "algebra_from_json",
-    "algebra_to_json",
-    "axiom_soundness_audit",
-    "axiom_table",
-    "boxinf_soundness_probe",
-    "canonical_witnesses",
-    "check_consequence_on_model",
-    "check_proof",
-    "classify",
-    "countermodel_from_json",
-    "derived_rule_audit",
-    "enumerate_chain",
-    "enumerate_power",
-    "equiv",
-    "eval_in_power",
-    "evaluate",
-    "exists_sup",
-    "extend_structure",
-    "fep_embed",
-    "filters",
-    "forall_inf",
-    "format_rational",
-    "format_tuple",
-    "generate_subalgebra",
-    "holds",
-    "in_chain",
-    "in_power",
-    "is_modalized",
-    "is_model",
-    "match_schema",
-    "maximal_filters",
-    "model_from_json",
-    "model_to_json",
-    "mv_binop",
-    "mv_impl",
-    "mv_join",
-    "mv_meet",
-    "mv_neg",
-    "mv_oplus",
-    "mv_star",
-    "oplus_multiple",
-    "orthogonal_width",
-    "parse",
-    "parse_rational",
-    "parse_tuple",
-    "power_binop",
-    "power_neg",
-    "prime_filters",
-    "print_formula",
-    "proof_from_json",
-    "proof_to_json",
-    "proper_filters",
-    "radical",
-    "refute",
-    "refute_width_k",
-    "represent_simple",
-    "schema",
-    "star_power",
-    "subformulas",
-    "substitute",
-    "variables",
-    "width_equation_holds",
-    "width_schema",
-]

@@ -506,6 +506,23 @@ def algebra_represent_command(algebra_file: str, width_cap: int, as_json: bool) 
     sys.exit(0)
 
 
+def _witness_entry(entry: object) -> tuple[tuple, int]:
+    """A `witnesses` entry [[rational string, ...], integer point], parsed."""
+    if (
+        isinstance(entry, list)
+        and len(entry) == 2
+        and isinstance(entry[0], list)
+        and all(isinstance(v, str) for v in entry[0])
+        and isinstance(entry[1], int)
+        and not isinstance(entry[1], bool)
+    ):
+        try:
+            return tuple(core.parse_rational(v) for v in entry[0]), entry[1]
+        except ValueError:
+            pass
+    _fail(f"witnesses entry {json.dumps(entry)} is not [[rational, ...], integer point]")
+
+
 @algebra.command("fep")
 @click.argument("algebra_file", type=click.Path())
 @click.option("--element", "element_texts", multiple=True,
@@ -537,11 +554,12 @@ def algebra_fep_command(
         subset = list(algebra_obj.carrier)
     witnesses = analysis.canonical_witnesses(subset, algebra_obj.n)
     if isinstance(data, dict) and "witnesses" in data:
+        if not isinstance(data["witnesses"], list):
+            _fail('"witnesses" must be a list of [[rational, ...], point] entries')
         for entry in data["witnesses"]:
-            element_values, point = entry
-            element = tuple(core.parse_rational(v) for v in element_values)
+            element, point = _witness_entry(entry)
             if element in witnesses:
-                witnesses[element] = int(point)
+                witnesses[element] = point
     try:
         embedding = analysis.fep_embed(subset, witnesses, points=algebra_obj.n)
     except analysis.WitnessError as exc:

@@ -30,7 +30,8 @@ sorted name order, coordinates left to right, values from 1 down to 0.  Index
 into read-only grids kept in a least-recently-used cache bounded by
 `_GRID_CACHE_BYTES`, so the many formulas scanned over one cell share one
 decode.  Cells larger than the cap are sampled uniformly with a seeded
-generator instead of enumerated.
+generator instead of enumerated.  Either way a hit is read off the grid it
+was found in, whose entries are the scaled values themselves.
 
 Premise-free validity over a whole range of cells needs far fewer
 assignments (`valid_in_cells`).  With box and dia read as inf and sup over
@@ -345,24 +346,6 @@ class _GridCache:
 _GRIDS = _GridCache(_GRID_CACHE_BYTES)
 
 
-def _index_to_valuation(
-    index: int, m: int, n: int, names: Sequence[str]
-) -> dict[str, MonadicElement]:
-    digits_total = n * len(names)
-    radix = m + 1
-    digits = []
-    rest = index
-    for _ in range(digits_total):
-        rest, d = divmod(rest, radix)
-        digits.append(d)
-    digits.reverse()
-    valuation: dict[str, MonadicElement] = {}
-    for i, name in enumerate(names):
-        coords = digits[i * n : (i + 1) * n]
-        valuation[name] = tuple(Fraction(m - d, m) for d in coords)
-    return valuation
-
-
 @dataclass(frozen=True)
 class CellResult:
     """Outcome of scanning one (m, n) cell."""
@@ -375,16 +358,13 @@ class CellResult:
 
 def _scan_blocks(
     m: int, n: int, nvars: int, cap: int, seed: object, exhaustive: bool
-) -> Iterator[tuple[int | None, np.ndarray]]:
-    """Yield (start, grid) blocks, exhaustive or sampled.
-
-    `start` is the index of the block's first assignment, or None for
-    sampled blocks, whose valuations are read off the grid directly.
-    """
+) -> Iterator[np.ndarray]:
+    """Yield the (nvars, n, A) grids of the cell in scan order, exhaustive
+    or sampled."""
     if exhaustive:
         total = cell_size(m, n, nvars)
         for start in range(0, total, _CHUNK):
-            yield start, _GRIDS.get(m, n, nvars, start, min(start + _CHUNK, total))
+            yield _GRIDS.get(m, n, nvars, start, min(start + _CHUNK, total))
     else:
         rng = np.random.default_rng(seed)
         remaining = cap
@@ -393,8 +373,27 @@ def _scan_blocks(
             grid = np.empty((nvars, n, block), dtype=_dtype(m))
             for slot in range(nvars):
                 grid[slot] = rng.integers(0, m + 1, size=(block, n), dtype=np.int32).T
-            yield None, grid
+            yield grid
             remaining -= block
+
+
+def _first_failure(program: _Program, premises: int, grid: np.ndarray, m: int) -> int | None:
+    """Index in the grid of the first assignment where the first `premises`
+    roots hold at every world and the last root fails at some world, or None."""
+    consts = _consts(m, grid.shape[-1], grid.dtype)
+    values: list = [None] * len(program.ops)
+    mask = None  # where every premise so far holds
+    for k in range(premises):
+        holds = _holds(_run(program, k, grid, m, consts, values), m)
+        mask = holds if mask is None else np.logical_and(mask, holds, out=mask)
+        if not mask.any():
+            return None
+    holds = _holds(_run(program, premises, grid, m, consts, values), m)
+    if mask is None:
+        # premise-free blocks are mostly clean, and one test settles those
+        return None if holds.all() else int(np.argmin(holds))
+    mask &= ~holds
+    return int(np.argmax(mask)) if mask.any() else None
 
 
 def scan_cell(
@@ -416,29 +415,15 @@ def scan_cell(
     names = program.names
     exhaustive = check_cell(m, n, len(names), cap)
     checked = 0
-    for start, grid in _scan_blocks(m, n, len(names), cap, seed, exhaustive):
-        block = grid.shape[-1]
-        consts = _consts(m, block, grid.dtype)
-        values: list = [None] * len(program.ops)
-        mask = np.ones(block, dtype=bool)
-        for k in range(len(premises)):
-            mask &= _holds(_run(program, k, grid, m, consts, values), m)
-            if not mask.any():
-                break
-        if mask.any():
-            mask &= ~_holds(_run(program, len(premises), grid, m, consts, values), m)
-            if mask.any():
-                hit = int(np.argmax(mask))
-                checked += hit + 1
-                if start is not None:
-                    valuation = _index_to_valuation(start + hit, m, n, names)
-                else:
-                    valuation = {
-                        name: tuple(Fraction(int(v), m) for v in grid[slot, :, hit])
-                        for slot, name in enumerate(names)
-                    }
-                return CellResult(True, valuation, checked, exhaustive)
-        checked += block
+    for grid in _scan_blocks(m, n, len(names), cap, seed, exhaustive):
+        hit = _first_failure(program, len(premises), grid, m)
+        if hit is not None:
+            valuation = {
+                name: tuple(Fraction(v, m) for v in row)
+                for name, row in zip(names, grid[:, :, hit].tolist())
+            }
+            return CellResult(True, valuation, checked + hit + 1, exhaustive)
+        checked += grid.shape[-1]
     return CellResult(False, None, checked, exhaustive)
 
 
@@ -472,6 +457,13 @@ def _multiset_grids(m: int, n: int, nvars: int) -> Iterator[np.ndarray]:
         yield _GRIDS.fetch(("multisets", m, n, nvars, start, stop), build)
 
 
+def multiset_count(m_max: int, n_max: int, nvars: int) -> int:
+    """Number of row multisets `valid_in_cells` evaluates for these bounds."""
+    return sum(
+        comb(cell_size(m, 1, nvars) + n_max - 1, n_max) for m in range(m_max // 2 + 1, m_max + 1)
+    )
+
+
 def valid_in_cells(formula: Formula, m_max: int, n_max: int) -> bool:
     """Does the formula hold at every world of every assignment of every cell
     m <= m_max, n <= n_max?
@@ -484,10 +476,8 @@ def valid_in_cells(formula: Formula, m_max: int, n_max: int) -> bool:
     if n_max < 1:
         return True
     program = _compile([formula])
-    for m in range(m_max // 2 + 1, m_max + 1):
-        for grid in _multiset_grids(m, n_max, len(program.names)):
-            consts = _consts(m, grid.shape[-1], grid.dtype)
-            value = _run(program, 0, grid, m, consts, [None] * len(program.ops))
-            if not _holds(value, m).all():
-                return False
-    return True
+    return not any(
+        _first_failure(program, 0, grid, m) is not None
+        for m in range(m_max // 2 + 1, m_max + 1)
+        for grid in _multiset_grids(m, n_max, len(program.names))
+    )

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Mapping, Sequence
 
 from . import core, enumeration, search, semantics
@@ -518,21 +519,21 @@ class AxiomAuditReport:
         }
 
 
-def _scan_instance(task: tuple) -> tuple[int, AuditViolation | None]:
+def _scan_instance(
+    routes: Mapping[int, tuple], m_max: int, n_max: int, cap: int, task: tuple
+) -> tuple[int, AuditViolation | None]:
     """Scan one instance of a schema over every cell up to its first violation.
 
-    When every cell is exhaustive, a clean instance is settled by one
-    multiset scan (`enumeration.valid_in_cells`) and reports the size of
-    the cells it stands for; a failing one, or one with a sampled cell, goes
-    through `search.scan_cells` with m-major cells, so violations and seed
-    streams are those of the per-cell scan.
+    `routes[nvars]` is (cells, settle, clean): the m-major cells, whether a
+    multiset pass (`enumeration.valid_in_cells`) comes first, and the
+    assignments a clean instance reports.  A settled instance reports
+    `clean`; any other goes through `search.scan_cells`, so violations and
+    seed streams are those of the per-cell scan.
     """
-    name, instance, nvars, m_max, n_max, cap, seed_base = task
-    cells = [(m, n) for m in range(1, m_max + 1) for n in range(1, n_max + 1)]
-    if all(enumeration.check_cell(m, n, nvars, cap) for m, n in cells) and (
-        enumeration.valid_in_cells(instance, m_max, n_max)
-    ):
-        return sum(enumeration.cell_size(m, n, nvars) for m, n in cells), None
+    name, instance, nvars, seed_base = task
+    cells, settle, clean = routes[nvars]
+    if settle and enumeration.valid_in_cells(instance, m_max, n_max):
+        return clean, None
     checked, _, hit = search.scan_cells((), instance, nvars, cells, cap, seed_base)
     if hit is None:
         return checked, None
@@ -563,16 +564,12 @@ def axiom_soundness_audit(
     `enumeration.check_cell`).  The distinct instances of all schemas go
     through one `search.fan_out`, so the report does not depend on jobs.
 
-    An instance whose cells are all exhaustive is first decided in one pass.
-    Its value at a world depends only on that world's row of variable values
-    and on the set of rows of all the worlds, so permuting or duplicating
-    worlds changes nothing, and L_m' is a subalgebra of L_m whenever m'
-    divides m.  Every m' <= m_max divides some m in m_max // 2 + 1 .. m_max,
-    and every n' <= n_max worlds can be padded to n_max by repeating one, so
-    the instance is valid in all the cells exactly when it holds on every
-    multiset of n_max rows over those L_m.  A valid instance reports the
-    assignments of all its cells, as the per-cell scan would; any other is
-    scanned cell by cell, which finds and re-verifies the first violation.
+    An instance is first decided in one pass over row multisets (see the
+    `enumeration` module docstring) whenever those are no more than the
+    assignments the per-cell scan would check.  A valid instance then
+    reports those assignments, as the per-cell scan would: a sampled cell
+    checks `cap` of them and finds nothing.  Any other instance is scanned
+    cell by cell, which finds and re-verifies the first violation.
     """
     if axioms is None:
         axioms = DEFAULT_AXIOMS
@@ -594,13 +591,18 @@ def axiom_soundness_audit(
             drawn.setdefault(instance, [offset, 0])[1] += 1
         for instance, (offset, count) in drawn.items():
             nvars = len(variables(instance))
-            tasks.append((name, instance, nvars, m_max, n_max, cap, (seed, schema_index, offset)))
+            tasks.append((name, instance, nvars, (seed, schema_index, offset)))
             counts.append(count)
+    cells = [(m, n) for m in range(1, m_max + 1) for n in range(1, n_max + 1)]
+    routes = {}
     for nvars in {task[2] for task in tasks}:
-        for m in range(1, m_max + 1):
-            for n in range(1, n_max + 1):
-                enumeration.check_cell(m, n, nvars, cap)
-    results = search.fan_out(_scan_instance, tasks, jobs)
+        covered = 0
+        for m, n in cells:
+            exhaustive = enumeration.check_cell(m, n, nvars, cap)
+            covered += enumeration.cell_size(m, n, nvars) if exhaustive else cap
+        settle = enumeration.multiset_count(m_max, n_max, nvars) <= covered
+        routes[nvars] = (cells, settle, covered)
+    results = search.fan_out(partial(_scan_instance, routes, m_max, n_max, cap), tasks, jobs)
     for task, count, (checked, violation) in zip(tasks, counts, results):
         report.assignments[task[0]] += checked
         if violation is not None:

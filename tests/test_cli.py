@@ -519,6 +519,52 @@ def test_algebra_fep_witness_violation(runner, tmp_path):
     assert "witness point" in result.output
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        [["1", "0"], 1.7],
+        [["1", "0"], "1"],
+        [["1", "0"], True],
+        [["1", "0"], 0.9],
+        [["1", "0"], [1]],
+        [["1", "0"]],
+        [["1", "0"], 1, 0],
+        [[1, 0], 1],
+        [["2", "0"], 1],
+        ["1,0", 1],
+        "1,0",
+    ],
+)
+def test_algebra_fep_rejects_malformed_witnesses(runner, tmp_path, entry):
+    data = json.loads((CORPUS / "algebras" / "boolean-square.json").read_text())
+    data["witnesses"] = [entry]
+    bad = tmp_path / "alg.json"
+    bad.write_text(json.dumps(data))
+    result = runner.invoke(main, ["algebra", "fep", str(bad), "--element", "1,0"])
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert f"witnesses entry {json.dumps(entry)}" in result.output
+
+
+def test_algebra_fep_witness_override(runner, tmp_path):
+    # (1, 0) has its minimum at point 1 only; the override names that point,
+    # an out-of-range point is a failed witness, not malformed input
+    path = CORPUS / "algebras" / "boolean-square.json"
+    default = invoke(runner, "algebra", "fep", str(path), "--element", "1,0")
+    data = json.loads(path.read_text())
+    data["witnesses"] = [[["1", "0"], 1]]
+    override = tmp_path / "alg.json"
+    override.write_text(json.dumps(data))
+    result = invoke(runner, "algebra", "fep", str(override), "--element", "1,0")
+    assert (result.exit_code, result.output) == (0, default.output)
+    assert result.output == "m=1, n=1, points=[1]\n  [1, 0] -> [0]\n"
+    data["witnesses"] = [[["1", "0"], -1]]
+    override.write_text(json.dumps(data))
+    result = invoke(runner, "algebra", "fep", str(override), "--element", "1,0")
+    assert result.exit_code == 1
+    assert "witness point -1" in result.output
+
+
 def test_algebra_fep_requires_functional_form(runner, tmp_path):
     data = json.loads(
         (CORPUS / "algebras" / "identity-quantifier-product.json").read_text()

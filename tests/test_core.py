@@ -1,11 +1,16 @@
 """Exact connective arithmetic on [0,1] and on finite chains and powers."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 import identity_checks
+import mmv
 from mmv import core
 from mmv.syntax import parse
 
@@ -152,3 +157,16 @@ def test_quantifier_identities_exhaustively_small():
             for c in constants:
                 assert identity_checks.order_fact_violations(a, b, c) == []
         assert identity_checks.arithmetic_fact_violations(a) == []
+
+
+def test_exact_layers_import_without_numpy():
+    # the package itself imports no submodule, so only the layers that scan
+    # grids or build algebra tables pull in numpy
+    code = (
+        "import sys, mmv.syntax, mmv.core, mmv.semantics, mmv.randgen; "
+        "assert 'numpy' not in sys.modules, 'numpy was imported'"
+    )
+    src = str(Path(mmv.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

@@ -168,6 +168,25 @@ def test_scan_matches_scalar_brute_force(m, n, v, monkeypatch):
     enumeration._GRIDS.clear()
 
 
+def test_int64_grids_decode_hits_like_int16_grids():
+    # 2m does not fit in int16 from m = 16384 on, so these grids are int64
+    assert enumeration._dtype(20000) is np.int64
+    target = parse("p -> p * p")
+    got = scan_cell([], target, m=20000, n=1, cap=10**6, seed=0)
+    assert got.exhaustive
+    assert (got.found, got.valuation, got.checked) == _scalar_scan([], target, 20000, 1)
+    assert got.valuation == {"p": (F(19999, 20000),)} and got.checked == 2
+    # a sampled hit at block index 3, behind a premise; values are those the
+    # seed stream has always produced
+    sampled = scan_cell([parse("[](q -> p)")], parse("p -> p * q"), m=20000, n=2, cap=50, seed=3)
+    assert sampled.found and not sampled.exhaustive
+    assert sampled.checked == 4
+    assert sampled.valuation == {
+        "p": (F(3477, 4000), F(11643, 20000)),
+        "q": (F(999, 1250), F(5839, 20000)),
+    }
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_bulk_evaluation_matches_exact_evaluation(seed):
     rng = random.Random(seed)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from mmv import enumeration
+from mmv import enumeration, search
 from mmv.proofs import (
     ACCEPT,
     ACCEPT_BOUNDED,
@@ -34,7 +34,7 @@ from mmv.proofs import (
 )
 from mmv.randgen import random_instance
 from mmv.semantics import SafeStructure, evaluate
-from mmv.syntax import parse, print_formula, schema
+from mmv.syntax import parse, print_formula, schema, variables
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "proofs"
 
@@ -417,6 +417,9 @@ _UNSOUND = {
         dict(trials=12, seed=8, m_max=3, n_max=1, axioms=_UNSOUND),
         # cells above 300 assignments are sampled, so the per-cell route runs
         dict(trials=12, seed=9, cap=300, axioms={**_UNSOUND, **DEFAULT_AXIOMS}),
+        # cell (4, 3) of a 3-variable instance is sampled at the default cap,
+        # yet its row multisets are fewer than the assignments the cells check
+        dict(trials=2, seed=11, m_max=4, n_max=3),
     ],
 )
 def test_axiom_audit_multiset_route_reports_what_the_cell_scan_does(options, monkeypatch):
@@ -432,6 +435,29 @@ def test_axiom_audit_multiset_route_reports_what_the_cell_scan_does(options, mon
     assert calls
     monkeypatch.setattr(enumeration, "valid_in_cells", lambda *args: False)
     assert report == axiom_soundness_audit(**options).to_json()
+
+
+@pytest.mark.parametrize("m_max, n_max", [(4, 3), (1, 1)])
+def test_axiom_audit_settles_clean_instances_by_row_multisets(m_max, n_max, monkeypatch):
+    # the multiset pass settles a clean instance whenever it is no larger
+    # than the per-cell scan: at (4, 3) and the default cap, cell (4, 3) of
+    # a 3-variable instance is sampled; at (1, 1) the multisets are exactly
+    # the assignments of the one cell
+    assert not enumeration.check_cell(4, 3, 3, 10**6)
+    original = enumeration.valid_in_cells
+    settled = []
+
+    def counted(instance, m_max, n_max):
+        settled.append(len(variables(instance)))
+        return original(instance, m_max, n_max)
+
+    def no_scan(*args):
+        raise AssertionError("a clean instance went through the per-cell scan")
+
+    monkeypatch.setattr(enumeration, "valid_in_cells", counted)
+    monkeypatch.setattr(search, "scan_cells", no_scan)
+    assert axiom_soundness_audit(trials=3, seed=11, m_max=m_max, n_max=n_max).ok
+    assert 3 in settled
 
 
 # seed 1 draws repeated instances of U0, U1 and U2; cells above 300
