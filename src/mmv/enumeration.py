@@ -360,7 +360,11 @@ def _scan_blocks(
     m: int, n: int, nvars: int, cap: int, seed: object, exhaustive: bool
 ) -> Iterator[np.ndarray]:
     """Yield the (nvars, n, A) grids of the cell in scan order, exhaustive
-    or sampled."""
+    or sampled.
+
+    Sampled blocks are drawn into one buffer, each over the last, so a
+    caller is done with a grid once it asks for the next.
+    """
     if exhaustive:
         total = cell_size(m, n, nvars)
         for start in range(0, total, _CHUNK):
@@ -368,20 +372,28 @@ def _scan_blocks(
     else:
         rng = np.random.default_rng(seed)
         remaining = cap
+        buffer = np.empty((nvars, n, min(_CHUNK, cap)), dtype=_dtype(m))
         while remaining > 0:
             block = min(_CHUNK, remaining)
-            grid = np.empty((nvars, n, block), dtype=_dtype(m))
+            grid = buffer[:, :, :block]
             for slot in range(nvars):
                 grid[slot] = rng.integers(0, m + 1, size=(block, n), dtype=np.int32).T
             yield grid
             remaining -= block
 
 
-def _first_failure(program: _Program, premises: int, grid: np.ndarray, m: int) -> int | None:
+def _first_failure(
+    program: _Program, premises: int, grid: np.ndarray, m: int, values: list
+) -> int | None:
     """Index in the grid of the first assignment where the first `premises`
-    roots hold at every world and the last root fails at some world, or None."""
+    roots hold at every world and the last root fails at some world, or None.
+
+    `values` is one list per scan, one slot per op, which `_run` overwrites
+    block after block.  A block's arrays are then freed only as the next
+    block's replace them, so the allocator does not hand their pages back
+    to the system and fault them in again for every block.
+    """
     consts = _consts(m, grid.shape[-1], grid.dtype)
-    values: list = [None] * len(program.ops)
     mask = None  # where every premise so far holds
     for k in range(premises):
         holds = _holds(_run(program, k, grid, m, consts, values), m)
@@ -415,8 +427,9 @@ def scan_cell(
     names = program.names
     exhaustive = check_cell(m, n, len(names), cap)
     checked = 0
+    values: list = [None] * len(program.ops)
     for grid in _scan_blocks(m, n, len(names), cap, seed, exhaustive):
-        hit = _first_failure(program, len(premises), grid, m)
+        hit = _first_failure(program, len(premises), grid, m, values)
         if hit is not None:
             valuation = {
                 name: tuple(Fraction(v, m) for v in row)
@@ -457,11 +470,24 @@ def _multiset_grids(m: int, n: int, nvars: int) -> Iterator[np.ndarray]:
         yield _GRIDS.fetch(("multisets", m, n, nvars, start, stop), build)
 
 
-def multiset_count(m_max: int, n_max: int, nvars: int) -> int:
-    """Number of row multisets `valid_in_cells` evaluates for these bounds."""
-    return sum(
-        comb(cell_size(m, 1, nvars) + n_max - 1, n_max) for m in range(m_max // 2 + 1, m_max + 1)
+def _tops(m_max: int) -> range:
+    """The m whose multisets `valid_in_cells` scans: those dividing no larger
+    m <= m_max (see the module docstring)."""
+    return range(m_max // 2 + 1, m_max + 1)
+
+
+def multiset_cost(m_max: int, n_max: int, nvars: int) -> tuple[int, bool]:
+    """How many row multisets `valid_in_cells` evaluates for these bounds,
+    and whether their grids fit in the grid cache together.
+
+    When they do not, the cache evicts each chunk before the next formula
+    comes back to it, so every formula decodes all of them anew.
+    """
+    counts = {m: comb(cell_size(m, 1, nvars) + n_max - 1, n_max) for m in _tops(m_max)}
+    nbytes = sum(
+        count * nvars * n_max * np.dtype(_dtype(m)).itemsize for m, count in counts.items()
     )
+    return sum(counts.values()), nbytes <= _GRIDS.max_bytes
 
 
 def valid_in_cells(formula: Formula, m_max: int, n_max: int) -> bool:
@@ -476,8 +502,9 @@ def valid_in_cells(formula: Formula, m_max: int, n_max: int) -> bool:
     if n_max < 1:
         return True
     program = _compile([formula])
+    values: list = [None] * len(program.ops)
     return not any(
-        _first_failure(program, 0, grid, m) is not None
-        for m in range(m_max // 2 + 1, m_max + 1)
+        _first_failure(program, 0, grid, m, values) is not None
+        for m in _tops(m_max)
         for grid in _multiset_grids(m, n_max, len(program.names))
     )

@@ -520,18 +520,23 @@ class AxiomAuditReport:
 
 
 def _scan_instance(
-    routes: Mapping[int, tuple], m_max: int, n_max: int, cap: int, task: tuple
+    routes: Mapping[int, tuple[bool, int]],
+    cells: Sequence[tuple[int, int]],
+    m_max: int,
+    n_max: int,
+    cap: int,
+    task: tuple,
 ) -> tuple[int, AuditViolation | None]:
     """Scan one instance of a schema over every cell up to its first violation.
 
-    `routes[nvars]` is (cells, settle, clean): the m-major cells, whether a
-    multiset pass (`enumeration.valid_in_cells`) comes first, and the
-    assignments a clean instance reports.  A settled instance reports
-    `clean`; any other goes through `search.scan_cells`, so violations and
+    `routes[nvars]` is (settle, clean): whether a multiset pass
+    (`enumeration.valid_in_cells`) comes first, and the assignments a clean
+    instance reports.  A settled instance reports `clean`; any other goes
+    through `search.scan_cells` over the m-major `cells`, so violations and
     seed streams are those of the per-cell scan.
     """
     name, instance, nvars, seed_base = task
-    cells, settle, clean = routes[nvars]
+    settle, clean = routes[nvars]
     if settle and enumeration.valid_in_cells(instance, m_max, n_max):
         return clean, None
     checked, _, hit = search.scan_cells((), instance, nvars, cells, cap, seed_base)
@@ -566,7 +571,8 @@ def axiom_soundness_audit(
 
     An instance is first decided in one pass over row multisets (see the
     `enumeration` module docstring) whenever those are no more than the
-    assignments the per-cell scan would check.  A valid instance then
+    assignments the per-cell scan would check, and either their grids fit in
+    the grid cache or every cell is exhaustive.  A valid instance then
     reports those assignments, as the per-cell scan would: a sampled cell
     checks `cap` of them and finds nothing.  Any other instance is scanned
     cell by cell, which finds and re-verifies the first violation.
@@ -596,13 +602,19 @@ def axiom_soundness_audit(
     cells = [(m, n) for m in range(1, m_max + 1) for n in range(1, n_max + 1)]
     routes = {}
     for nvars in {task[2] for task in tasks}:
-        covered = 0
-        for m, n in cells:
-            exhaustive = enumeration.check_cell(m, n, nvars, cap)
-            covered += enumeration.cell_size(m, n, nvars) if exhaustive else cap
-        settle = enumeration.multiset_count(m_max, n_max, nvars) <= covered
-        routes[nvars] = (cells, settle, covered)
-    results = search.fan_out(partial(_scan_instance, routes, m_max, n_max, cap), tasks, jobs)
+        exhaustive = [enumeration.check_cell(m, n, nvars, cap) for m, n in cells]
+        covered = sum(
+            enumeration.cell_size(m, n, nvars) if full else cap
+            for (m, n), full in zip(cells, exhaustive)
+        )
+        multisets, cached = enumeration.multiset_cost(m_max, n_max, nvars)
+        # past the grid cache every instance decodes its multisets anew, at
+        # several times the cost of scanning as many assignments, so they
+        # then go first only when every cell is scanned in full
+        settle = multisets <= covered and (cached or all(exhaustive))
+        routes[nvars] = (settle, covered)
+    scan = partial(_scan_instance, routes, cells, m_max, n_max, cap)
+    results = search.fan_out(scan, tasks, jobs)
     for task, count, (checked, violation) in zip(tasks, counts, results):
         report.assignments[task[0]] += checked
         if violation is not None:

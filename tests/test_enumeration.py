@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction as F
+from math import comb
 
 import numpy as np
 import pytest
@@ -300,3 +301,35 @@ def test_valid_in_cells_without_cells():
     assert valid_in_cells(parse("0"), 3, 0)
     assert not valid_in_cells(parse("0"), 1, 1)
     assert valid_in_cells(parse("1 -> 1"), 3, 3)
+
+
+@pytest.mark.parametrize(
+    "text, m_max, n_max", [("p -> p", 4, 3), ("p /\\ q -> p", 3, 3), ("p * q * r -> r", 4, 2)]
+)
+def test_multiset_cost_counts_what_valid_in_cells_scans(text, m_max, n_max, monkeypatch):
+    formula = parse(text)
+    nvars = len(variables(formula))
+    original = enumeration._multiset_grids
+    grids = []
+
+    def recorded(*args):
+        for grid in original(*args):
+            grids.append(grid)
+            yield grid
+
+    monkeypatch.setattr(enumeration, "_multiset_grids", recorded)
+    assert valid_in_cells(formula, m_max, n_max)
+    nbytes = sum(grid.nbytes for grid in grids)
+    count = sum(grid.shape[-1] for grid in grids)
+    for max_bytes, cached in ((nbytes, True), (nbytes - 1, False)):
+        monkeypatch.setattr(enumeration, "_GRIDS", enumeration._GridCache(max_bytes))
+        assert enumeration.multiset_cost(m_max, n_max, nvars) == (count, cached)
+
+
+def test_multiset_cost_at_the_audit_bounds():
+    # 6.8 MB of int16 grids at m_max = 4 fit the 16 MB cache; 37 MB at 5 do not
+    assert enumeration.multiset_cost(4, 3, 3) == (comb(66, 3) + comb(127, 3), True)
+    assert enumeration.multiset_cost(5, 3, 3) == (
+        comb(66, 3) + comb(127, 3) + comb(218, 3),
+        False,
+    )

@@ -460,6 +460,29 @@ def test_axiom_audit_settles_clean_instances_by_row_multisets(m_max, n_max, monk
     assert 3 in settled
 
 
+@pytest.mark.parametrize("cap, settles", [(10**6, False), (10**7, True)])
+def test_axiom_audit_settles_uncached_multisets_only_against_full_cells(
+    cap, settles, monkeypatch
+):
+    # with a 1 MB cache the 6.8 MB of 3-variable multisets at (4, 3) would be
+    # decoded anew for every instance; that pays off only when no cell is
+    # sampled (cap 10**7), not against the sampled cell (4, 3) at 10**6
+    expected = axiom_soundness_audit(trials=2, seed=11, m_max=4, n_max=3, cap=cap).to_json()
+    original = enumeration.valid_in_cells
+    settled = []
+
+    def counted(instance, m_max, n_max):
+        settled.append(len(variables(instance)))
+        return original(instance, m_max, n_max)
+
+    monkeypatch.setattr(enumeration, "_GRIDS", enumeration._GridCache(max_bytes=1 << 20))
+    monkeypatch.setattr(enumeration, "valid_in_cells", counted)
+    report = axiom_soundness_audit(trials=2, seed=11, m_max=4, n_max=3, cap=cap).to_json()
+    assert report == expected
+    assert 2 in settled
+    assert (3 in settled) == settles
+
+
 # seed 1 draws repeated instances of U0, U1 and U2; cells above 300
 # assignments are sampled
 _REPEATED = dict(trials=12, seed=1, cap=300, axioms=_UNSOUND)
