@@ -43,6 +43,7 @@ ask each question for all elements at once by fancy indexing.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -977,6 +978,13 @@ def _separate(values: np.ndarray, chosen: list[int]) -> None:
 # JSON forms
 
 
+def _generator_entry(entry: object) -> MonadicElement:
+    """A functional `generators` entry [rational string, ...], parsed."""
+    if not isinstance(entry, (list, tuple)) or not all(isinstance(v, str) for v in entry):
+        raise TypeError(f"generators entry {json.dumps(entry)} is not a list of rational strings")
+    return tuple(core.parse_rational(v) for v in entry)
+
+
 def algebra_from_json(data: Mapping, check: bool = True) -> FiniteMonadicAlgebra:
     """Load an algebra from its functional or tabular JSON form.
 
@@ -990,10 +998,7 @@ def algebra_from_json(data: Mapping, check: bool = True) -> FiniteMonadicAlgebra
     if form == "functional":
         try:
             m, n = int(data["m"]), int(data["n"])
-            generators = [
-                tuple(core.parse_rational(v) for v in element)
-                for element in data["generators"]
-            ]
+            generators = [_generator_entry(element) for element in data["generators"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise AlgebraError(f"bad functional algebra data: {exc}") from exc
         if m < 1 or n < 1:

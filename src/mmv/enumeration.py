@@ -15,14 +15,16 @@ The scaling k <-> k/m is an isomorphism onto the Fraction arithmetic in
 `mmv.core`, so results are exact; callers re-verify hits through the scalar
 route anyway.
 
-Each formula is compiled once per scan into a hash-consed op list in
-topological order: structurally equal subformulas share one op, and box/dia
-of a world-independent value is the value itself.  Blocks are world-major:
-variable v of assignment a at world w sits at `grid[v, w, a]`, so a value
-is an (n, A) array whose rows are worlds (or a (1, A) array once it no
-longer depends on the world), and box/dia are n-1 elementwise min/max over
-the rows.  Values are int16 (int64 for chains too long for int16 to hold
-2m).
+A claim, premises and a target, is compiled once (`compile_claim`) into a
+hash-consed op list in topological order: structurally equal subformulas
+share one op, and box/dia of a world-independent value is the value itself.
+The one program then runs on every cell (`scan_program`) and on the row
+multisets (`multisets_clean`); `scan_cell` and `valid_in_cells` compile and
+call those.  Blocks are world-major: variable v of assignment a at world w
+sits at `grid[v, w, a]`, so a value is an (n, A) array whose rows are worlds
+(or a (1, A) array once it no longer depends on the world), and box/dia are
+n-1 elementwise min/max over the rows.  Values are int16 (int64 for chains
+too long for int16 to hold 2m).
 
 Assignment order within a cell is descending lexicographic: variables in
 sorted name order, coordinates left to right, values from 1 down to 0.  Index
@@ -33,28 +35,30 @@ decode.  Cells larger than the cap are sampled uniformly with a seeded
 generator instead of enumerated.  Either way a hit is read off the grid it
 was found in, whose entries are the scaled values themselves.
 
-Premise-free validity over a whole range of cells needs far fewer
+Validity of a claim over a whole range of cells needs far fewer
 assignments (`valid_in_cells`).  With box and dia read as inf and sup over
 the worlds, a formula's value at a world depends only on that world's row
 (the values of the variables there) and on the *set* of rows of all the
-worlds: permuting worlds or duplicating one changes no value.  So a failure
-with n' worlds is still a failure once some world is repeated up to n
-worlds, and one multiset of n rows stands for every ordering of them.  The
-chain L_m' is a subalgebra of L_m whenever m' divides m (k/m' is
+worlds: permuting worlds or duplicating one changes no value.  A failure,
+every premise 1 at every world and the target below 1 at some world, is
+therefore still a failure with n' worlds once some world is repeated up to
+n worlds, and one multiset of n rows stands for every ordering of them.
+The chain L_m' is a subalgebra of L_m whenever m' divides m (k/m' is
 (k m/m')/m), so a failure over L_m' is a failure over L_m.  Every
 m' <= m_max divides its largest multiple below m_max + 1, and that multiple
-divides no larger m <= m_max.  Hence a formula holds at every world of every
-assignment of every cell m <= m_max, n <= n_max exactly when it holds at
-every world of every multiset of n_max rows over L_m^v, for each m in
-m_max // 2 + 1 .. m_max (the m that divide no larger m <= m_max, since m
-divides 2m).  At m_max = n_max = v = 3 that is C(66, 3) + C(29, 3) = 49,414
-multisets against the 287,327 assignments of the nine cells.
+divides no larger m <= m_max.  Hence a claim has no failure in any
+assignment of any cell m <= m_max, n <= n_max exactly when it has none in
+any multiset of n_max rows over L_m^v, for each m in m_max // 2 + 1 ..
+m_max (the m that divide no larger m <= m_max, since m divides 2m).  At
+m_max = n_max = v = 3 that is C(66, 3) + C(29, 3) = 49,414 multisets
+against the 287,327 assignments of the nine cells.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from itertools import chain, combinations_with_replacement, islice
 from math import comb
@@ -382,17 +386,17 @@ def _scan_blocks(
             remaining -= block
 
 
-def _first_failure(
-    program: _Program, premises: int, grid: np.ndarray, m: int, values: list
-) -> int | None:
-    """Index in the grid of the first assignment where the first `premises`
-    roots hold at every world and the last root fails at some world, or None.
+def _first_failure(program: _Program, grid: np.ndarray, m: int, values: list) -> int | None:
+    """Index in the grid of the first assignment where every root but the
+    last (the premises) holds at every world and the last root (the target)
+    fails at some world, or None.
 
     `values` is one list per scan, one slot per op, which `_run` overwrites
     block after block.  A block's arrays are then freed only as the next
     block's replace them, so the allocator does not hand their pages back
     to the system and fault them in again for every block.
     """
+    premises = len(program.roots) - 1
     consts = _consts(m, grid.shape[-1], grid.dtype)
     mask = None  # where every premise so far holds
     for k in range(premises):
@@ -406,6 +410,30 @@ def _first_failure(
         return None if holds.all() else int(np.argmin(holds))
     mask &= ~holds
     return int(np.argmax(mask)) if mask.any() else None
+
+
+def compile_claim(premises: Sequence[Formula], target: Formula) -> _Program:
+    """The program `scan_program` and `multisets_clean` run: the premises'
+    roots in order, then the target's."""
+    return _compile([*premises, target])
+
+
+def scan_program(program: _Program, m: int, n: int, cap: int, seed: object) -> CellResult:
+    """`scan_cell` on a claim compiled by `compile_claim`."""
+    names = program.names
+    exhaustive = check_cell(m, n, len(names), cap)
+    checked = 0
+    values: list = [None] * len(program.ops)
+    for grid in _scan_blocks(m, n, len(names), cap, seed, exhaustive):
+        hit = _first_failure(program, grid, m, values)
+        if hit is not None:
+            valuation = {
+                name: tuple(Fraction(v, m) for v in row)
+                for name, row in zip(names, grid[:, :, hit].tolist())
+            }
+            return CellResult(True, valuation, checked + hit + 1, exhaustive)
+        checked += grid.shape[-1]
+    return CellResult(False, None, checked, exhaustive)
 
 
 def scan_cell(
@@ -423,21 +451,7 @@ def scan_cell(
     Returns the first hit in scan order.  Raises ValueError for a cell
     within the cap too large to index (see `check_cell`).
     """
-    program = _compile([*premises, target])
-    names = program.names
-    exhaustive = check_cell(m, n, len(names), cap)
-    checked = 0
-    values: list = [None] * len(program.ops)
-    for grid in _scan_blocks(m, n, len(names), cap, seed, exhaustive):
-        hit = _first_failure(program, len(premises), grid, m, values)
-        if hit is not None:
-            valuation = {
-                name: tuple(Fraction(v, m) for v in row)
-                for name, row in zip(names, grid[:, :, hit].tolist())
-            }
-            return CellResult(True, valuation, checked + hit + 1, exhaustive)
-        checked += grid.shape[-1]
-    return CellResult(False, None, checked, exhaustive)
+    return scan_program(compile_claim(premises, target), m, n, cap, seed)
 
 
 def _multiset_grids(m: int, n: int, nvars: int) -> Iterator[np.ndarray]:
@@ -476,6 +490,16 @@ def _tops(m_max: int) -> range:
     return range(m_max // 2 + 1, m_max + 1)
 
 
+@lru_cache(maxsize=256)
+def _multiset_size(m_max: int, n_max: int, nvars: int) -> tuple[int, int]:
+    """The count of the row multisets for these bounds, and their grids' bytes."""
+    counts = {m: comb(cell_size(m, 1, nvars) + n_max - 1, n_max) for m in _tops(m_max)}
+    nbytes = sum(
+        count * nvars * n_max * np.dtype(_dtype(m)).itemsize for m, count in counts.items()
+    )
+    return sum(counts.values()), nbytes
+
+
 def multiset_cost(m_max: int, n_max: int, nvars: int) -> tuple[int, bool]:
     """How many row multisets `valid_in_cells` evaluates for these bounds,
     and whether their grids fit in the grid cache together.
@@ -483,28 +507,31 @@ def multiset_cost(m_max: int, n_max: int, nvars: int) -> tuple[int, bool]:
     When they do not, the cache evicts each chunk before the next formula
     comes back to it, so every formula decodes all of them anew.
     """
-    counts = {m: comb(cell_size(m, 1, nvars) + n_max - 1, n_max) for m in _tops(m_max)}
-    nbytes = sum(
-        count * nvars * n_max * np.dtype(_dtype(m)).itemsize for m, count in counts.items()
+    count, nbytes = _multiset_size(m_max, n_max, nvars)
+    return count, nbytes <= _GRIDS.max_bytes
+
+
+def multisets_clean(program: _Program, m_max: int, n_max: int) -> bool:
+    """`valid_in_cells` on a claim compiled by `compile_claim`."""
+    if n_max < 1:
+        return True
+    values: list = [None] * len(program.ops)
+    return not any(
+        _first_failure(program, grid, m, values) is not None
+        for m in _tops(m_max)
+        for grid in _multiset_grids(m, n_max, len(program.names))
     )
-    return sum(counts.values()), nbytes <= _GRIDS.max_bytes
 
 
-def valid_in_cells(formula: Formula, m_max: int, n_max: int) -> bool:
-    """Does the formula hold at every world of every assignment of every cell
-    m <= m_max, n <= n_max?
+def valid_in_cells(
+    premises: Sequence[Formula], target: Formula, m_max: int, n_max: int
+) -> bool:
+    """Does the target hold at every world of every assignment of every cell
+    m <= m_max, n <= n_max where every premise holds at every world?
 
-    Compiles the formula once and scans the multisets of n_max world rows
+    Compiles the claim once and scans the multisets of n_max world rows
     over L_m for each m in m_max // 2 + 1 .. m_max; the module docstring
     shows why that decides every cell.  It does not say where a failure is:
     callers that need a witness scan the cells with `scan_cell`.
     """
-    if n_max < 1:
-        return True
-    program = _compile([formula])
-    values: list = [None] * len(program.ops)
-    return not any(
-        _first_failure(program, 0, grid, m, values) is not None
-        for m in _tops(m_max)
-        for grid in _multiset_grids(m, n_max, len(program.names))
-    )
+    return multisets_clean(compile_claim(premises, target), m_max, n_max)

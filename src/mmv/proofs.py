@@ -16,11 +16,11 @@ verdict records the smallest bound audited in the proof.
 The audits do not trust the axiom table: `axiom_soundness_audit` instantiates
 every schema at random and grinds the instances through exhaustive (or
 sampled) valuation grids, and `derived_rule_audit` checks the semantic fact
-behind each admissible rule on random finite structures.  An instance valid
-on every row multiset is settled in one pass; any other is scanned by
-`search.scan_cells`, the same scan `refute` uses, which re-verifies the first
-violation exactly.  The distinct instances of all schemas share one
-`search.fan_out` call, so `jobs` changes no report.
+behind each admissible rule on random finite structures.  Instances go
+through `search.scan_cells`, the same scan `refute` uses: one valid on every
+row multiset is settled in one pass, and any other is scanned cell by cell,
+which re-verifies the first violation exactly.  The distinct instances of
+all schemas share one `search.fan_out` call, so `jobs` changes no report.
 """
 
 from __future__ import annotations
@@ -520,26 +520,21 @@ class AxiomAuditReport:
 
 
 def _scan_instance(
-    routes: Mapping[int, tuple[bool, int]],
+    settles: Mapping[int, bool],
     cells: Sequence[tuple[int, int]],
-    m_max: int,
-    n_max: int,
     cap: int,
     task: tuple,
 ) -> tuple[int, AuditViolation | None]:
     """Scan one instance of a schema over every cell up to its first violation.
 
-    `routes[nvars]` is (settle, clean): whether a multiset pass
-    (`enumeration.valid_in_cells`) comes first, and the assignments a clean
-    instance reports.  A settled instance reports `clean`; any other goes
-    through `search.scan_cells` over the m-major `cells`, so violations and
-    seed streams are those of the per-cell scan.
+    `settles[nvars]` says whether a multiset pass comes before every cell
+    (`search.scan_cells` with `settle_at=0`); a clean instance then reports
+    the assignments of the per-cell scan.  Violations and seed streams are
+    those of the per-cell scan over the m-major `cells`.
     """
     name, instance, nvars, seed_base = task
-    settle, clean = routes[nvars]
-    if settle and enumeration.valid_in_cells(instance, m_max, n_max):
-        return clean, None
-    checked, _, hit = search.scan_cells((), instance, nvars, cells, cap, seed_base)
+    settle_at = 0 if settles[nvars] else None
+    checked, _, hit = search.scan_cells((), instance, cells, cap, seed_base, settle_at=settle_at)
     if hit is None:
         return checked, None
     m, n, valuation, values = hit
@@ -600,7 +595,7 @@ def axiom_soundness_audit(
             tasks.append((name, instance, nvars, (seed, schema_index, offset)))
             counts.append(count)
     cells = [(m, n) for m in range(1, m_max + 1) for n in range(1, n_max + 1)]
-    routes = {}
+    settles = {}
     for nvars in {task[2] for task in tasks}:
         exhaustive = [enumeration.check_cell(m, n, nvars, cap) for m, n in cells]
         covered = sum(
@@ -611,9 +606,8 @@ def axiom_soundness_audit(
         # past the grid cache every instance decodes its multisets anew, at
         # several times the cost of scanning as many assignments, so they
         # then go first only when every cell is scanned in full
-        settle = multisets <= covered and (cached or all(exhaustive))
-        routes[nvars] = (settle, covered)
-    scan = partial(_scan_instance, routes, cells, m_max, n_max, cap)
+        settles[nvars] = multisets <= covered and (cached or all(exhaustive))
+    scan = partial(_scan_instance, settles, cells, cap)
     results = search.fan_out(scan, tasks, jobs)
     for task, count, (checked, violation) in zip(tasks, counts, results):
         report.assignments[task[0]] += checked

@@ -10,13 +10,19 @@ valuations in a fixed order.  Cells larger than the budget's cap are sampled
 with the budget's seed instead of enumerated, so runs are reproducible.
 
 One routine, `scan_cells`, walks ordered cells up to the first hit for both
-`refute` and the per-cell route of `proofs.axiom_soundness_audit`: it checks
-every cell before scanning any, seeds each cell from the caller's seed and
-the cell, and re-verifies the hit through the exact scalar evaluator before
-it is reported.  `fan_out` is the one place worker processes start for
-`jobs`; results come back in task order, so they do not depend on jobs.
-An "exhausted" verdict means only that the finite budget turned up nothing;
-it certifies nothing about validity, and reports say so.
+`refute` and `proofs.axiom_soundness_audit`: it compiles the claim once,
+checks every cell before scanning any, seeds each cell from the caller's
+seed and the cell, and re-verifies the hit through the exact scalar
+evaluator before it is reported.  From a cell the caller names it first
+runs one pass over row multisets (see `enumeration`): a claim with no
+failure there has none in any cell, so the cells left count what their
+scan would and are not scanned, and any other claim is scanned on as
+before.  `refute` names its first sampled cell when the multisets are no
+more than the sampled cells would check; the audit names its first cell.
+`fan_out` is the one place worker processes start for `jobs`; results come
+back in task order, so they do not depend on jobs.  An "exhausted" verdict
+means only that the finite budget turned up nothing; it certifies nothing
+about validity or about cells beyond the budget, and reports say so.
 """
 
 from __future__ import annotations
@@ -146,10 +152,10 @@ def _verify_countermodel(
 
 
 def _scan_cell(
-    premises: tuple, conclusion: Formula, cap: int, seed_base: tuple, cell: tuple[int, int]
+    program: enumeration._Program, cap: int, seed_base: tuple, cell: tuple[int, int]
 ) -> enumeration.CellResult:
     m, n = cell
-    return enumeration.scan_cell(premises, conclusion, m, n, cap, (*seed_base, m, n))
+    return enumeration.scan_program(program, m, n, cap, (*seed_base, m, n))
 
 
 def fan_out(fn: Callable, tasks: Sequence, jobs: int = 1) -> Iterator:
@@ -179,31 +185,54 @@ def _pool_map(fn: Callable, tasks: Sequence, workers: int) -> Iterator:
 def scan_cells(
     premises: Sequence[Formula],
     conclusion: Formula,
-    nvars: int,
     cells: Sequence[tuple[int, int]],
     cap: int,
     seed_base: tuple,
     jobs: int = 1,
+    settle_at: int | None = None,
 ) -> tuple[int, int, tuple | None]:
     """Scan the cells in the order given up to the first verified hit.
 
-    `nvars` counts the distinct variables of the premises and conclusion.
+    The claim is compiled once (`enumeration.compile_claim`) for every cell.
     Every cell passes `enumeration.check_cell` before any is scanned; cell
     (m, n) is seeded with (*seed_base, m, n), and the first hit is
     re-verified by `_verify_countermodel`.  The cells go through `fan_out`,
     so the result does not depend on jobs.  Returns (assignments checked,
     cells visited, hit), where hit is (m, n, valuation, values) or None.
+
+    With `settle_at` = k, one pass over row multisets
+    (`enumeration.multisets_clean`, up to the largest m and n of the cells)
+    runs once cells[:k] are scanned without a hit.  When it finds no
+    failure, no cell has one, so cells[k:] count min(size, cap) assignments
+    each, as their scan would, and are not scanned; otherwise they are
+    scanned as without it.  Either way the result is the same.
     """
+    program = enumeration.compile_claim(premises, conclusion)
+    nvars = len(program.names)
     for m, n in cells:
         enumeration.check_cell(m, n, nvars, cap)
-    checked = 0
-    results = fan_out(partial(_scan_cell, premises, conclusion, cap, seed_base), cells, jobs)
-    for visited, ((m, n), result) in enumerate(zip(cells, results), 1):
-        checked += result.checked
-        if result.found:
-            values = _verify_countermodel(premises, conclusion, n, result.valuation)
-            return checked, visited, (m, n, dict(result.valuation), values)
-    return checked, len(cells), None
+
+    def scan(part: Sequence[tuple[int, int]]) -> tuple[int, int, tuple | None]:
+        checked = 0
+        results = fan_out(partial(_scan_cell, program, cap, seed_base), part, jobs)
+        for visited, ((m, n), result) in enumerate(zip(part, results), 1):
+            checked += result.checked
+            if result.found:
+                values = _verify_countermodel(premises, conclusion, n, result.valuation)
+                return checked, visited, (m, n, dict(result.valuation), values)
+        return checked, len(part), None
+
+    if settle_at is None:
+        return scan(cells)
+    checked, visited, hit = scan(cells[:settle_at])
+    rest = cells[settle_at:]
+    if hit is not None or not rest:
+        return checked, visited, hit
+    if enumeration.multisets_clean(program, max(m for m, _ in cells), max(n for _, n in cells)):
+        clean = sum(min(enumeration.cell_size(m, n, nvars), cap) for m, n in rest)
+        return checked + clean, len(cells), None
+    more, visited, hit = scan(rest)
+    return checked + more, settle_at + visited, hit
 
 
 def refute(
@@ -218,12 +247,29 @@ def refute(
     report; `scan_cells` does the scan, so results do not depend on jobs.
     Raises ValueError before scanning any cell when one within the cap is
     too large to index (see `enumeration.check_cell`).
+
+    Cells come smallest first, so every cell from the first sampled one on
+    is sampled.  Those are settled by one pass over row multisets when the
+    multisets are no more than the `cap` assignments each of them would
+    check and their grids fit in the grid cache (`enumeration.multiset_cost`).
+    A clean claim then reports what the per-cell scan would report, and any
+    other goes on cell by cell.
     """
     premises = tuple(premises)
     nvars = len(set().union(*(variables(f) for f in (*premises, conclusion))))
     cells = _cells(budget, nvars)
+    cap = budget.valuation_cap
+    split = next(
+        (i for i, (m, n) in enumerate(cells) if enumeration.cell_size(m, n, nvars) > cap),
+        len(cells),
+    )
+    settle_at = None
+    if split < len(cells):
+        multisets, cached = enumeration.multiset_cost(budget.m_max, budget.n_max, nvars)
+        if cached and multisets <= cap * (len(cells) - split):
+            settle_at = split
     checked, visited, hit = scan_cells(
-        premises, conclusion, nvars, cells, budget.valuation_cap, (budget.seed,), jobs
+        premises, conclusion, cells, cap, (budget.seed,), jobs, settle_at
     )
     if hit is None:
         return SearchReport("exhausted", budget.seed, cells, checked, caveat=EXHAUSTED_CAVEAT)

@@ -608,3 +608,15 @@ def test_algebra_validate_malformed_file(runner, tmp_path):
     bad.write_text(json.dumps({"form": "nope"}))
     result = invoke(runner, "algebra", "validate", str(bad))
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("entry", [[1, 0], ["1", 0], "10", None])
+def test_algebra_validate_rejects_malformed_generators(runner, tmp_path, entry):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"form": "functional", "m": 1, "n": 2, "generators": [entry]}))
+    result = invoke(runner, "algebra", "validate", str(bad))
+    assert result.exit_code == 2
+    assert result.output == (
+        f"error: bad algebra: bad functional algebra data: generators entry "
+        f"{json.dumps(entry)} is not a list of rational strings\n"
+    )

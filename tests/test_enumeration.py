@@ -253,25 +253,44 @@ _SHAPED = {
 _UNSOUND = ("phi -> []phi", "<>phi -> []phi", "phi -> phi*phi", "[]phi \\/ []~phi")
 
 
-def _failing_cells(formula):
+# As premises: p = 1/2 at every world (m even) / q = 1/3 at every world
+# (3 | m) / all worlds agree on p.
+_PREMISE_SHAPED = {
+    ((_HALF,), "q"): {(m, n) for m in (2, 4) for n in range(1, 4)},
+    ((_HALF, _THIRD.replace("p", "q")), "p * q"): set(),
+    (("<>p -> []p",), "[]p \\/ []~p"): {(m, n) for m in range(2, 5) for n in range(1, 4)},
+    (("<>p -> []p", "<>q -> []q"), "<>(p * q) -> <>p * <>q"): set(),
+    ((_THIRD,), "<>q -> []q"): {(3, n) for n in range(2, 4)},
+}
+
+
+def _failing_cells(premises, target):
     """Cells m <= 4, n <= 3 where the per-cell scan finds a failure."""
     return {
         (m, n)
         for m in range(1, 5)
         for n in range(1, 4)
-        if scan_cell([], formula, m, n, cap=10**7, seed=0).found
+        if scan_cell(premises, target, m, n, cap=10**7, seed=0).found
     }
 
 
 def _differential_cases():
+    """(premises, target, the failing cells or None) with 0-2 premises."""
     rng = random.Random(2024)
     names = ("p", "q", "r")
-    cases = [(parse(text), cells) for text, cells in _SHAPED.items()]
+    cases = [((), parse(text), cells) for text, cells in _SHAPED.items()]
+    cases += [
+        (tuple(parse(text) for text in premises), parse(target), cells)
+        for (premises, target), cells in _PREMISE_SHAPED.items()
+    ]
     patterns = [schema(text) for text in _UNSOUND] + list(DEFAULT_AXIOMS.values())[:6]
     for pattern in patterns:
-        cases.append((random_instance(rng, pattern, names[:2], max_depth=2), None))
+        cases.append(((), random_instance(rng, pattern, names[:2], max_depth=2), None))
     for _ in range(12):
-        cases.append((random_formula(rng, names[: rng.randint(1, 3)], max_depth=3), None))
+        cases.append(((), random_formula(rng, names[: rng.randint(1, 3)], max_depth=3), None))
+    for count in (1, 2) * 8:
+        premises = tuple(random_formula(rng, names[:2], max_depth=2) for _ in range(count))
+        cases.append((premises, random_formula(rng, names[: rng.randint(1, 3)], max_depth=3), None))
     return cases
 
 
@@ -279,28 +298,38 @@ def _differential_cases():
 def test_valid_in_cells_matches_every_per_cell_scan(chunk, monkeypatch):
     # m_max = 4 checks the divisibility rule: L_2 sits inside L_4, so only
     # m = 3 and m = 4 are scanned; L_1 and L_2 are covered by L_4
-    cases = [(formula, _failing_cells(formula), shaped) for formula, shaped in _differential_cases()]
+    cases = [
+        (premises, target, _failing_cells(premises, target), shaped)
+        for premises, target, shaped in _differential_cases()
+    ]
     if chunk is not None:
         monkeypatch.setattr(enumeration, "_CHUNK", chunk)
         monkeypatch.setattr(enumeration, "_GRIDS", enumeration._GridCache(max_bytes=4000))
-    for formula, failing, shaped in cases:
+    for premises, target, failing, shaped in cases:
         if shaped is not None:
             assert failing == shaped
         for m_max in range(1, 5):
             for n_max in range(1, 4):
                 expected = any(m <= m_max and n <= n_max for m, n in failing)
-                assert valid_in_cells(formula, m_max, n_max) == (not expected), (
-                    formula,
+                assert valid_in_cells(premises, target, m_max, n_max) == (not expected), (
+                    premises,
+                    target,
                     m_max,
                     n_max,
                 )
+    # the premise cases tell the premise masks apart from the target alone
+    assert any(
+        premises and failing != _failing_cells((), target)
+        for premises, target, failing, _ in cases
+    )
 
 
 def test_valid_in_cells_without_cells():
-    assert valid_in_cells(parse("0"), 0, 3)
-    assert valid_in_cells(parse("0"), 3, 0)
-    assert not valid_in_cells(parse("0"), 1, 1)
-    assert valid_in_cells(parse("1 -> 1"), 3, 3)
+    assert valid_in_cells([], parse("0"), 0, 3)
+    assert valid_in_cells([], parse("0"), 3, 0)
+    assert not valid_in_cells([], parse("0"), 1, 1)
+    assert valid_in_cells([], parse("1 -> 1"), 3, 3)
+    assert valid_in_cells([parse("0")], parse("0"), 1, 1)
 
 
 @pytest.mark.parametrize(
@@ -318,7 +347,7 @@ def test_multiset_cost_counts_what_valid_in_cells_scans(text, m_max, n_max, monk
             yield grid
 
     monkeypatch.setattr(enumeration, "_multiset_grids", recorded)
-    assert valid_in_cells(formula, m_max, n_max)
+    assert valid_in_cells([], formula, m_max, n_max)
     nbytes = sum(grid.nbytes for grid in grids)
     count = sum(grid.shape[-1] for grid in grids)
     for max_bytes, cached in ((nbytes, True), (nbytes - 1, False)):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from mmv import enumeration, search
+from mmv import enumeration
 from mmv.proofs import (
     ACCEPT,
     ACCEPT_BOUNDED,
@@ -34,7 +34,7 @@ from mmv.proofs import (
 )
 from mmv.randgen import random_instance
 from mmv.semantics import SafeStructure, evaluate
-from mmv.syntax import parse, print_formula, schema, variables
+from mmv.syntax import parse, print_formula, schema
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "proofs"
 
@@ -391,8 +391,8 @@ def test_axiom_audit_rejects_unindexable_cells_before_scanning(monkeypatch):
     def no_scan(*args):
         raise AssertionError("scanned a cell before checking them all")
 
-    monkeypatch.setattr(enumeration, "scan_cell", no_scan)
-    monkeypatch.setattr(enumeration, "valid_in_cells", no_scan)
+    monkeypatch.setattr(enumeration, "scan_program", no_scan)
+    monkeypatch.setattr(enumeration, "multisets_clean", no_scan)
     with pytest.raises(ValueError, match="2\\*\\*63"):
         axiom_soundness_audit(
             trials=2, m_max=2, n_max=3, cap=3**42, axioms={"T": schema("phi -> phi"), "WIDE": wide}
@@ -423,17 +423,17 @@ _UNSOUND = {
     ],
 )
 def test_axiom_audit_multiset_route_reports_what_the_cell_scan_does(options, monkeypatch):
-    original = enumeration.valid_in_cells
+    original = enumeration.multisets_clean
     calls = []
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(enumeration, "valid_in_cells", counted)
+    monkeypatch.setattr(enumeration, "multisets_clean", counted)
     report = axiom_soundness_audit(**options).to_json()
     assert calls
-    monkeypatch.setattr(enumeration, "valid_in_cells", lambda *args: False)
+    monkeypatch.setattr(enumeration, "multisets_clean", lambda *args: False)
     assert report == axiom_soundness_audit(**options).to_json()
 
 
@@ -444,18 +444,18 @@ def test_axiom_audit_settles_clean_instances_by_row_multisets(m_max, n_max, monk
     # a 3-variable instance is sampled; at (1, 1) the multisets are exactly
     # the assignments of the one cell
     assert not enumeration.check_cell(4, 3, 3, 10**6)
-    original = enumeration.valid_in_cells
+    original = enumeration.multisets_clean
     settled = []
 
-    def counted(instance, m_max, n_max):
-        settled.append(len(variables(instance)))
-        return original(instance, m_max, n_max)
+    def counted(program, m_max, n_max):
+        settled.append(len(program.names))
+        return original(program, m_max, n_max)
 
     def no_scan(*args):
         raise AssertionError("a clean instance went through the per-cell scan")
 
-    monkeypatch.setattr(enumeration, "valid_in_cells", counted)
-    monkeypatch.setattr(search, "scan_cells", no_scan)
+    monkeypatch.setattr(enumeration, "multisets_clean", counted)
+    monkeypatch.setattr(enumeration, "scan_program", no_scan)
     assert axiom_soundness_audit(trials=3, seed=11, m_max=m_max, n_max=n_max).ok
     assert 3 in settled
 
@@ -468,15 +468,15 @@ def test_axiom_audit_settles_uncached_multisets_only_against_full_cells(
     # decoded anew for every instance; that pays off only when no cell is
     # sampled (cap 10**7), not against the sampled cell (4, 3) at 10**6
     expected = axiom_soundness_audit(trials=2, seed=11, m_max=4, n_max=3, cap=cap).to_json()
-    original = enumeration.valid_in_cells
+    original = enumeration.multisets_clean
     settled = []
 
-    def counted(instance, m_max, n_max):
-        settled.append(len(variables(instance)))
-        return original(instance, m_max, n_max)
+    def counted(program, m_max, n_max):
+        settled.append(len(program.names))
+        return original(program, m_max, n_max)
 
     monkeypatch.setattr(enumeration, "_GRIDS", enumeration._GridCache(max_bytes=1 << 20))
-    monkeypatch.setattr(enumeration, "valid_in_cells", counted)
+    monkeypatch.setattr(enumeration, "multisets_clean", counted)
     report = axiom_soundness_audit(trials=2, seed=11, m_max=4, n_max=3, cap=cap).to_json()
     assert report == expected
     assert 2 in settled
@@ -531,11 +531,11 @@ def test_axiom_audit_builds_one_pool_for_all_schemas(fake_pool):
 
 
 def test_axiom_audit_re_verifies_every_violation(monkeypatch):
-    def false_hit(premises, target, m, n, cap, seed):
+    def false_hit(program, m, n, cap, seed):
         return enumeration.CellResult(True, {"p": (Fraction(1),) * n}, 1, True)
 
-    monkeypatch.setattr(enumeration, "scan_cell", false_hit)
-    monkeypatch.setattr(enumeration, "valid_in_cells", lambda *args: False)
+    monkeypatch.setattr(enumeration, "scan_program", false_hit)
+    monkeypatch.setattr(enumeration, "multisets_clean", lambda *args: False)
     with pytest.raises(RuntimeError, match="does not refute the conclusion"):
         axiom_soundness_audit(
             trials=1, m_max=1, n_max=1, axioms={"I": schema("phi -> phi")}, names=("p",)

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from mmv import enumeration
+from mmv.proofs import DEFAULT_AXIOMS, width_schema
+from mmv.randgen import random_formula, random_instance
 from mmv.search import (
     EXHAUSTED_CAVEAT,
     SearchBudget,
@@ -23,6 +27,7 @@ from mmv.search import (
 from mmv.semantics import SafeStructure, evaluate
 from mmv.syntax import parse, print_formula
 
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
 ZERO = Fraction(0)
@@ -102,7 +107,7 @@ def test_refute_rejects_unindexable_cells_before_scanning(monkeypatch):
     def no_scan(*args):
         raise AssertionError("scanned a cell before checking them all")
 
-    monkeypatch.setattr(enumeration, "scan_cell", no_scan)
+    monkeypatch.setattr(enumeration, "scan_program", no_scan)
     budget = SearchBudget(m_max=2, n_max=3, valuation_cap=3**42)
     with pytest.raises(ValueError, match="2\\*\\*63"):
         refute([], conclusion, budget)
@@ -193,12 +198,134 @@ def test_fan_out_maps_in_order_without_a_pool_for_one_task(fake_pool):
 def test_refute_re_verifies_every_hit(monkeypatch):
     # a scanner that reports an all-ones "countermodel" of p -> p must be
     # caught by the exact re-check, not reported
-    def false_hit(premises, target, m, n, cap, seed):
+    def false_hit(program, m, n, cap, seed):
         return enumeration.CellResult(True, {"p": (ONE,) * n}, 1, True)
 
-    monkeypatch.setattr(enumeration, "scan_cell", false_hit)
+    monkeypatch.setattr(enumeration, "scan_program", false_hit)
     with pytest.raises(RuntimeError, match="does not refute the conclusion"):
         refute([], parse("p -> p"))
+
+
+# ---------------------------------------------------------------------------
+# settling sampled cells by row multisets
+# ---------------------------------------------------------------------------
+
+_QUARTER = "((p -> ~(p (+) p (+) p)) /\\ (~(p (+) p (+) p) -> p))"  # 1 iff p = 1/4
+_HALF = "((p -> ~p) /\\ (~p -> p))"  # 1 iff p = 1/2
+_THREE_QUARTERS = _QUARTER.replace("p", "~p")  # 1 iff p = 3/4
+
+
+def _crisp(text):
+    # x * x * x * x is 1 at x = 1 and 0 at x <= 3/4, so on L_m with m <= 4
+    # this is 1 where <>text is 1 and 0 elsewhere
+    return " * ".join([f"<>{text}"] * 4)
+
+
+# fails only in cell (4, 3): three worlds with p = 1/4, 1/2 and 3/4; at
+# cap 100 that cell is sampled, its 55 row multisets are fewer, and the
+# multiset pass finds the failure and sends the claim on to the cell
+QUARTERS = parse(f"~({_crisp(_QUARTER)} * {_crisp(_HALF)} * {_crisp(_THREE_QUARTERS)})")
+SETTLE_BUDGETS = [
+    SearchBudget(m_max=m_max, n_max=n_max, valuation_cap=cap, seed=3)
+    for m_max in range(1, 5)
+    for n_max in range(1, 4)
+    for cap in (100, 1000, 100_000)
+]
+
+
+def _settle_claims():
+    """Corpus claims, width instances, axiom instances and seeded random
+    claims with 0-2 premises."""
+    box_join = tuple(
+        parse(line)
+        for line in (CORPUS / "premises" / "box-join.txt").read_text().splitlines()
+        if line.strip() and not line.startswith("#")
+    )
+    claims = [
+        ((), parse("[](p -> q) -> ([]p -> []r \\/ []q)")),
+        ((), parse("<>p -> []p")),
+        ((), parse("<>(p*p) -> <>p * <>p")),
+        ((), parse("[](p * q) \\/ <>(r -> p)")),
+        (box_join, parse("[]p \\/ []q")),
+        ((), WIDTH_TWO),
+        ((), QUARTERS),
+    ]
+    rng = random.Random(5)  # the width instances of acceptance 05
+    for k in (1, 2):
+        claims += [((), random_instance(rng, width_schema(k), max_depth=2)) for _ in range(10)]
+    names = ("p", "q", "r")
+    for pattern in DEFAULT_AXIOMS.values():
+        claims.append(((), random_instance(rng, pattern, names, max_depth=3)))
+    for _ in range(24):
+        premises = tuple(random_formula(rng, names, 2) for _ in range(rng.randrange(3)))
+        claims.append((premises, random_formula(rng, names[: rng.randint(1, 3)], 3)))
+    return claims
+
+
+def _settle_reports(claims, jobs=1):
+    return [
+        refute(premises, conclusion, budget, jobs=jobs).to_json()
+        for premises, conclusion in claims
+        for budget in SETTLE_BUDGETS
+    ]
+
+
+@pytest.fixture(scope="module")
+def per_cell_reports():
+    """(claims, their reports when no multiset pass runs)."""
+    claims = _settle_claims()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(enumeration, "multiset_cost", lambda *args: (float("inf"), False))
+        return claims, _settle_reports(claims)
+
+
+def test_refute_settle_route_reports_what_the_per_cell_route_does(
+    per_cell_reports, fake_pool, monkeypatch
+):
+    claims, expected = per_cell_reports
+    original = enumeration.multisets_clean
+    passes = []
+
+    def counted(*args):
+        passes.append(original(*args))
+        return passes[-1]
+
+    monkeypatch.setattr(enumeration, "multisets_clean", counted)
+    assert _settle_reports(claims) == expected
+    # both outcomes of the pass occur: clean claims skip their sampled
+    # cells, and QUARTERS goes on to the sampled cell (4, 3)
+    assert True in passes and False in passes
+    assert _settle_reports(claims, jobs=2) == expected
+    assert fake_pool.built
+
+
+def test_refute_settle_route_does_not_depend_on_jobs():
+    # worker processes get the compiled claim: a clean pass at the default
+    # budget, and a dirty one that sends QUARTERS on to cell (4, 3)
+    for conclusion, budget in (
+        (parse("[](p -> q) -> ([]p -> []r \\/ []q)"), SearchBudget()),
+        (QUARTERS, SearchBudget(m_max=4, valuation_cap=100, seed=3)),
+    ):
+        reports = [refute([], conclusion, budget, jobs=jobs).to_json() for jobs in (1, 2)]
+        assert reports[1] == reports[0]
+
+
+def test_refute_settle_route_mutations_show_in_the_reports(per_cell_reports, monkeypatch):
+    claims, expected = per_cell_reports
+    # a pass that always says "dirty" leaves the per-cell route as it was
+    monkeypatch.setattr(enumeration, "multisets_clean", lambda *args: False)
+    assert _settle_reports(claims) == expected
+    # one that always says "clean" hides hits, and only hits in sampled cells
+    monkeypatch.setattr(enumeration, "multisets_clean", lambda *args: True)
+    got = _settle_reports(claims)
+    budgets = SETTLE_BUDGETS * len(claims)
+    changed = [(e, b) for g, e, b in zip(got, expected, budgets) if g != e]
+    assert changed
+    for report, budget in changed:
+        assert report["verdict"] == "countermodel"
+        nvars = len(report["valuation"])
+        size = enumeration.cell_size(report["m"], report["n"], nvars)
+        assert size > budget.valuation_cap
 
 
 # ---------------------------------------------------------------------------
