@@ -586,6 +586,146 @@ def test_canonical_witnesses_pick_first_minimum():
     assert canonical_witnesses([a, b], 3) == {a: 1, b: 0}
 
 
+# Faulty inputs on 3 points: (elements, witnesses of those elements).
+FEP_FAULTS = {
+    "duplicate": (
+        [(F(1, 4), F(1, 2), F(1, 4)), (F(1, 4), F(1, 2), F(1, 4))],
+        {(F(1, 4), F(1, 2), F(1, 4)): 2},
+    ),
+    "length": ([(F(1, 2), F(1, 2))], {(F(1, 2), F(1, 2)): 0}),
+    "length and range": ([(F(2),)], {(F(2),): 0}),
+    "below 0": ([(F(1, 2), F(-1, 3), F(1))], {(F(1, 2), F(-1, 3), F(1)): 1}),
+    "above 1": ([(F(0), F(3, 2), F(1))], {(F(0), F(3, 2), F(1)): 0}),
+    "missing witness": ([(F(1, 4), F(1), F(1))], {}),
+    "witness out of range": ([(F(1), F(1, 5), F(1))], {(F(1), F(1, 5), F(1)): 3}),
+    "witness off the minimum": ([(F(1, 2), F(1, 6), F(1))], {(F(1, 2), F(1, 6), F(1)): 0}),
+}
+FEP_GOOD = ([(F(1, 2), F(1, 3), F(1)), (F(1, 3), F(1, 3), F(1, 3))], {
+    (F(1, 2), F(1, 3), F(1)): 1, (F(1, 3), F(1, 3), F(1, 3)): 2,
+})
+
+
+def reference_fep_error(family, witnesses, points=None):
+    """(type, message) of the first input check fep_embed fails, or None.
+
+    Lengths and values are checked element by element in family order
+    first, then the witnesses, also in family order.
+    """
+    family = list(dict.fromkeys(family))
+    points = len(family[0]) if points is None else points
+    label = analysis._element_label
+    for element in family:
+        if len(element) != points:
+            return ValueError, f"element {label(element)} is not a function on {points} points"
+        if not all(0 <= v <= 1 for v in element):
+            return ValueError, f"element {label(element)} takes values outside [0,1]"
+    if witnesses is None:
+        return None
+    for element in family:
+        if element not in witnesses:
+            return WitnessError, f"no witness point for {label(element)}"
+        w = witnesses[element]
+        if not 0 <= w < points:
+            return WitnessError, f"witness point {w} for {label(element)} is out of range"
+        if element[w] != min(element):
+            return WitnessError, (
+                f"witness point {w} for {label(element)} does not attain "
+                f"its minimum {core.format_rational(min(element))}"
+            )
+    return None
+
+
+def _fep_error(*args):
+    try:
+        fep_embed(*args)
+    except (ValueError, WitnessError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("first, second", itertools.permutations(FEP_FAULTS, 2))
+def test_fep_reports_the_first_faulty_element(first, second):
+    family = FEP_GOOD[0][:1] + FEP_FAULTS[first][0] + FEP_GOOD[0][1:] + FEP_FAULTS[second][0]
+    witnesses = {**FEP_GOOD[1], **FEP_FAULTS[first][1], **FEP_FAULTS[second][1]}
+    expected = reference_fep_error(family, witnesses)
+    assert expected is not None or {first, second} == {"duplicate"}
+    assert _fep_error(family, witnesses) == expected
+    assert _fep_error(family, None) == reference_fep_error(family, None)
+    # the family again, each element twice in a row: duplicates change nothing
+    doubled = [element for element in family for _ in range(2)]
+    assert _fep_error(doubled, witnesses) == expected
+
+
+def test_fep_checks_values_before_witnesses():
+    off_minimum, short = FEP_FAULTS["witness off the minimum"], FEP_FAULTS["length"]
+    witnesses = {**off_minimum[1], **short[1]}
+    for family in (off_minimum[0] + short[0], short[0] + off_minimum[0]):
+        assert _fep_error(family, witnesses, 3) == (
+            ValueError, "element (1/2, 1/2) is not a function on 3 points"
+        )
+    above, below = FEP_FAULTS["above 1"][0], FEP_FAULTS["below 0"][0]
+    assert _fep_error(above + below, None) == (
+        ValueError, "element (0, 3/2, 1) takes values outside [0,1]"
+    )
+    assert _fep_error(below + above, None) == (
+        ValueError, "element (1/2, -1/3, 1) takes values outside [0,1]"
+    )
+    missing, out_of_range = FEP_FAULTS["missing witness"], FEP_FAULTS["witness out of range"]
+    witnesses = {**missing[1], **out_of_range[1], **off_minimum[1]}
+    assert _fep_error(out_of_range[0] + missing[0] + off_minimum[0], witnesses) == (
+        WitnessError, "witness point 3 for (1, 1/5, 1) is out of range"
+    )
+    assert _fep_error(off_minimum[0] + missing[0], witnesses) == (
+        WitnessError, "witness point 0 for (1/2, 1/6, 1) does not attain its minimum 1/6"
+    )
+    assert _fep_error(missing[0] + off_minimum[0], witnesses) == (
+        WitnessError, "no witness point for (1/4, 1, 1)"
+    )
+    assert _fep_error([], {}, 3) is None
+
+
+def reference_fep_json(family, witnesses, points):
+    """fep_embed(family, witnesses, points).to_json(), pair by pair in Fractions."""
+    subset = list(dict.fromkeys(family))
+    if not subset:
+        return {"m": 1, "n": 1, "points": [0], "embedding": []}
+    if witnesses is None:
+        witnesses = canonical_witnesses(subset, points)
+    m, chosen, mapping = reference_fep(subset, witnesses)
+    return {
+        "m": m,
+        "n": len(chosen),
+        "points": list(chosen),
+        "embedding": [
+            {"element": core.format_tuple(a), "image": core.format_tuple(mapping[a])}
+            for a in subset
+        ],
+    }
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_fep_json_matches_fraction_reference(seed):
+    rng = random.Random(seed)
+    points = rng.randint(1, 4)
+    values = [0, 1, F(0), F(1), F(1, 2), F(1, 3), F(2, 3), F(3, 4), F(1, 6)]
+    size = rng.randint(0, 8) if seed > 1 else 0  # seeds 0 and 1: the empty family
+    family = [tuple(rng.choice(values) for _ in range(points)) for _ in range(size)]
+    # repeats, some of them written with int entries where the first has Fractions
+    family += [tuple(int(v) if v.denominator == 1 else v for v in e) for e in family[::2]]
+    rng.shuffle(family)
+    witnesses = None
+    if seed % 2:
+        witnesses = {
+            element: rng.choice([x for x in range(points) if element[x] == min(element)])
+            for element in family
+        }
+    emb = fep_embed(family, witnesses, points)
+    data = reference_fep_json(family, witnesses, points)
+    assert (emb.m, emb.n, list(emb.points)) == (data["m"], data["n"], data["points"])
+    assert emb.to_json() == data
+    assert list(emb.mapping) == list(dict.fromkeys(family))
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
