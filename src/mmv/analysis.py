@@ -34,10 +34,13 @@ D+1, first coordinate most significant, so keys sort like the tuples.  No
 intermediate exceeds 2D, nor a key (D+1)^n; an array is int64 when its bound
 passes `2 * bound < 2**62` and holds Python integers (dtype object)
 otherwise, so nothing overflows silently.  Fractions appear only at the
-boundary: carriers and labels, made once from sorted integer rows, and the
-mappings of representations and embeddings.  The only tables are read-only
-int32 index arrays, so `validate`, filters, classification and width checks
-ask each question for all elements at once by fancy indexing.
+boundary: parsing, carriers and labels (made once from sorted integer
+rows), and the returned `Representation.mapping` and `FepEmbedding.mapping`.
+`fep_embed` runs its input checks, deduplication and witnesses on the
+scaled family, and both verifiers scale the images that are returned and
+check them, injectivity included, on integers.  The only tables are
+read-only int32 index arrays, so `validate`, filters, classification and
+width checks ask each question for all elements at once by fancy indexing.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ from . import core
 from .core import MonadicElement
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 # Pairs (or triples) per block in the pairwise kernels: a candidate block of
 # the closure holds at most 2 * _BLOCK rows.
@@ -146,6 +148,20 @@ def _first(failed: np.ndarray) -> tuple[int, ...] | None:
     if not len(flat):
         return None
     return tuple(int(i) for i in np.unravel_index(flat[0], failed.shape))
+
+
+def _mask(size: int, members) -> np.ndarray:
+    """Membership in `members` of each of 0..size-1, as booleans."""
+    mask = np.zeros(size, dtype=bool)
+    mask[members] = True
+    return mask
+
+
+def _distinct(rows: np.ndarray) -> bool:
+    """Are the integer rows pairwise different?"""
+    low = int(rows.min(initial=0))
+    keys = np.sort(_keys(rows - low, int(rows.max(initial=0)) - low + 1))
+    return bool((keys[1:] != keys[:-1]).all())
 
 
 def _impl(a, b, d):
@@ -273,7 +289,7 @@ class FiniteMonadicAlgebra:
         return result
 
     def exists_image(self) -> list[int]:
-        return np.flatnonzero(np.isin(np.arange(self.size), self.exists_table)).tolist()
+        return np.flatnonzero(_mask(self.size, self.exists_table)).tolist()
 
     # -- construction from a functional carrier
 
@@ -478,7 +494,7 @@ def prime_filters(algebra: FiniteMonadicAlgebra) -> list[frozenset[int]]:
     """Proper filters where membership of a join forces a member disjunct."""
     result = []
     for f in proper_filters(algebra):
-        inside = np.isin(np.arange(algebra.size), list(f))
+        inside = _mask(algebra.size, list(f))
         # is some join of two non-members a member?
         if not inside[algebra.join_table[np.ix_(~inside, ~inside)]].any():
             result.append(f)
@@ -631,7 +647,7 @@ def _simplicity(algebra: FiniteMonadicAlgebra) -> tuple[bool, list[int] | None]:
     if algebra.zero == algebra.one:
         return False, [algebra.zero]
     a = np.arange(algebra.size)
-    image = np.isin(a, algebra.exists_table)
+    image = _mask(algebra.size, algebra.exists_table)
     inner = (algebra.star_table[a, a] == a) & image & (a != algebra.one) & (a != algebra.zero)
     if not inner.any():
         return True, None
@@ -702,7 +718,7 @@ def _quotient_ranks(
     of each element and the top rank.
     """
     impl = algebra.impl_table
-    inside = np.isin(np.arange(algebra.size), list(filter_set))
+    inside = _mask(algebra.size, list(filter_set))
     class_of = np.full(algebra.size, -1)
     reps: list[int] = []
     # the least element left starts a class of the elements left equivalent to it
@@ -745,7 +761,8 @@ def represent_simple(
         if top == 0:
             raise RuntimeError("quotient by a proper filter collapsed to a point")
         denominators.append(top)
-        coordinates.append([Fraction(r, top) for r in ranks])
+        chain = core.enumerate_chain(top)
+        coordinates.append([chain[r] for r in ranks])
     mapping = dict(enumerate(zip(*coordinates)))
     _verify_representation(algebra, mapping)
     return Representation(
@@ -759,12 +776,11 @@ def _verify_representation(
     algebra: FiniteMonadicAlgebra, mapping: dict[int, MonadicElement]
 ) -> None:
     size = algebra.size
-    if len(set(mapping.values())) != size:
+    images, d = _scaled([mapping[a] for a in range(size)], len(mapping[algebra.zero]))
+    if not _distinct(images):
         raise RuntimeError("representation is not injective")
-    width_n = len(mapping[algebra.zero])
-    if mapping[algebra.zero] != core.const_tuple(_ZERO, width_n):
+    if images[algebra.zero].any():
         raise RuntimeError("representation does not send 0 to 0")
-    images, d = _scaled([mapping[a] for a in range(size)], width_n)
     # the checks of one element a in the order they are reported: its three
     # unary checks, then every (b, operation) pair
     unary_names = ("negation", "the sup-quantifier", "the inf-quantifier")
@@ -850,54 +866,60 @@ def fep_embed(
     denominator chain's power that preserves 0, implication, and the
     inf-quantifier wherever the family contains the result.
     """
-    subset = list(dict.fromkeys(subset))
+    subset = list(subset)
     if points is None:
         if not subset:
             raise ValueError("cannot infer the point count from an empty family")
         points = len(subset[0])
     if points < 1:
         raise ValueError("the family needs at least one point")
-    for element in subset:
-        if len(element) != points:
-            raise ValueError(
-                f"element {_element_label(element)} is not a function on {points} points"
-            )
-        for value in element:
-            if not _ZERO <= value <= _ONE:
-                raise ValueError(
-                    f"element {_element_label(element)} takes values outside [0,1]"
-                )
-    if witnesses is None:
-        witnesses = canonical_witnesses(subset, points)
-    for element in subset:
-        if element not in witnesses:
-            raise WitnessError(f"no witness point for {_element_label(element)}")
-        w = witnesses[element]
-        if not 0 <= w < points:
-            raise WitnessError(
-                f"witness point {w} for {_element_label(element)} is out of range"
-            )
-        if element[w] != min(element):
-            raise WitnessError(
-                f"witness point {w} for {_element_label(element)} does not attain "
-                f"its minimum {core.format_rational(min(element))}"
-            )
+    # the first element with a wrong length or a value outside [0,1]
+    short = next((i for i, e in enumerate(subset) if len(e) != points), len(subset))
+    values, d = _scaled(subset[:short], points)
+    outside = _first((values < 0) | (values > d))
+    if outside is not None:
+        raise ValueError(
+            f"element {_element_label(subset[outside[0]])} takes values outside [0,1]"
+        )
+    if short < len(subset):
+        raise ValueError(
+            f"element {_element_label(subset[short])} is not a function on {points} points"
+        )
+    _, first = np.unique(_keys(values, d + 1), return_index=True)
+    if len(first) < len(subset):  # keep the first of equal elements
+        first.sort()
+        subset, values = [subset[i] for i in first.tolist()], values[first]
 
-    chosen: list[int] = []
-    for element in subset:
-        w = witnesses[element]
-        if w not in chosen:
-            chosen.append(w)
-    values, d = _scaled(subset, points)
+    if witnesses is None:
+        at = values.argmin(axis=1).tolist()  # the first minimum
+    else:
+        at = []
+        for element, row, low in zip(subset, values.tolist(), values.min(axis=1).tolist()):
+            if element not in witnesses:
+                raise WitnessError(f"no witness point for {_element_label(element)}")
+            w = witnesses[element]
+            if not 0 <= w < points:
+                raise WitnessError(
+                    f"witness point {w} for {_element_label(element)} is out of range"
+                )
+            if row[w] != low:
+                raise WitnessError(
+                    f"witness point {w} for {_element_label(element)} does not attain "
+                    f"its minimum {core.format_rational(min(element))}"
+                )
+            at.append(w)
+    chosen = list(dict.fromkeys(at))
     _separate(values, chosen)
     if not chosen:
         chosen.append(0)
 
     # the lcm of the denominators of the kept values k/d in lowest terms
     m = d // math.gcd(d, *values[:, chosen].ravel().tolist())
-    mapping = {element: tuple(element[x] for x in chosen) for element in subset}
-    _verify_fep(subset, values, d, mapping, m, len(chosen))
-    return FepEmbedding(m=m, n=len(chosen), points=tuple(chosen), mapping=mapping)
+    images = [tuple(element[x] for x in chosen) for element in subset]
+    _verify_images(values, d, images, m, len(chosen))
+    return FepEmbedding(
+        m=m, n=len(chosen), points=tuple(chosen), mapping=dict(zip(subset, images))
+    )
 
 
 def _verify_fep(
@@ -909,16 +931,22 @@ def _verify_fep(
     n: int,
 ) -> None:
     """Check `mapping` on the family whose numerators over d are `values`."""
-    if len(set(mapping.values())) != len(subset):
-        raise RuntimeError("restriction map is not injective")
-    images = [mapping[a] for a in subset]
+    _verify_images(values, d, [mapping[a] for a in subset], m, n)
+
+
+def _verify_images(
+    values: np.ndarray, d: int, images: list[MonadicElement], m: int, n: int
+) -> None:
+    """Check the images, row by row, of the family whose numerators over d are `values`."""
     if any(len(image) != n for image in images):
         raise RuntimeError("restricted values escape the common chain")
     images, e = _scaled(images, n)
+    if not _distinct(images):
+        raise RuntimeError("restriction map is not injective")
     if m % e or ((images < 0) | (images > e)).any():
         raise RuntimeError("restricted values escape the common chain")
     images = images.astype(_dtype(m)) * (m // e)
-    if not subset:
+    if not len(values):
         return
     if ((values == 0).all(axis=1) & (images != 0).any(axis=1)).any():
         raise RuntimeError("restriction map does not send 0 to 0")
@@ -935,7 +963,7 @@ def _verify_fep(
     # inf-quantifier, then implication with every b
     inside, c = member(np.repeat(values.min(axis=1, keepdims=True), values.shape[1], axis=1))
     forall = inside & (images[c] != images.min(axis=1, keepdims=True)).any(axis=1)
-    for block in _row_blocks(len(subset), len(subset)):
+    for block in _row_blocks(len(values), len(values)):
         inside, c = member(_impl(values[block, None], values, d))
         impl = inside & (images[c] != _impl(images[block, None], images, m)).any(axis=-1)
         failed = _first(np.concatenate([forall[block, None], impl], axis=1))
