@@ -922,18 +922,6 @@ def fep_embed(
     )
 
 
-def _verify_fep(
-    subset: list[MonadicElement],
-    values: np.ndarray,
-    d: int,
-    mapping: dict[MonadicElement, MonadicElement],
-    m: int,
-    n: int,
-) -> None:
-    """Check `mapping` on the family whose numerators over d are `values`."""
-    _verify_images(values, d, [mapping[a] for a in subset], m, n)
-
-
 def _verify_images(
     values: np.ndarray, d: int, images: list[MonadicElement], m: int, n: int
 ) -> None:

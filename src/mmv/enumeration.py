@@ -60,9 +60,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from itertools import chain, combinations_with_replacement, islice
 from math import comb
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -318,24 +317,30 @@ def _decode(m: int, n: int, nvars: int, start: int, stop: int) -> np.ndarray:
 
 
 class _GridCache:
-    """Decoded exhaustive chunks, least recently used first, bounded in bytes."""
+    """Decoded chunks, least recently used first, bounded in bytes."""
 
     def __init__(self, max_bytes: int):
         self.max_bytes = max_bytes
         self.nbytes = 0
-        self._chunks: OrderedDict[tuple[int, ...], np.ndarray] = OrderedDict()
+        self._chunks: OrderedDict[tuple, np.ndarray] = OrderedDict()
 
-    def get(self, m: int, n: int, nvars: int, start: int, stop: int) -> np.ndarray:
-        """Assignments start..stop-1 of the cell, decoded as by `_decode`."""
-        return self.fetch((m, n, nvars, start, stop), lambda: _decode(m, n, nvars, start, stop))
-
-    def fetch(self, key: tuple, build: Callable[[], np.ndarray]) -> np.ndarray:
-        """The grid cached under `key`, built by `build()` on a miss."""
+    def get(
+        self, m: int, n: int, nvars: int, start: int, stop: int, multisets: bool = False
+    ) -> np.ndarray:
+        """Assignments start..stop-1 of the cell, decoded as by `_decode`, or
+        with `multisets` the multisets start..stop-1 of n world rows
+        (`_multiset_chunk` on the rows of cell (m, 1))."""
+        key = (m, n, nvars, start, stop, "multisets") if multisets else (m, n, nvars, start, stop)
         grid = self._chunks.get(key)
         if grid is not None:
             self._chunks.move_to_end(key)
             return grid
-        grid = self._chunks[key] = build()
+        if multisets:
+            rows = self.get(m, 1, nvars, 0, cell_size(m, 1, nvars))[:, 0]
+            grid = _multiset_chunk(rows, n, start, stop)
+        else:
+            grid = _decode(m, n, nvars, start, stop)
+        self._chunks[key] = grid
         self.nbytes += grid.nbytes
         while self.nbytes > self.max_bytes and len(self._chunks) > 1:
             _, old = self._chunks.popitem(last=False)
@@ -456,32 +461,53 @@ def scan_cell(
 
 def _multiset_grids(m: int, n: int, nvars: int) -> Iterator[np.ndarray]:
     """Yield read-only (nvars, n, A) grids of every multiset of n world rows
-    over L_m^nvars, chunk by chunk.
-
-    A row is an index below (m+1)^nvars, decoded like the assignment of one
-    world; the multisets come in the order of `combinations_with_replacement`.
-    Chunks share the cache of the cell grids; on a miss the multisets are
-    read on from one iterator, so a scan reads each of them at most once.
+    over L_m^nvars, chunk by chunk, in the order of
+    `combinations_with_replacement` over the rows; a row is an index below
+    (m+1)^nvars, decoded like the assignment of one world.  Chunks share the
+    cache of the cell grids.  Raises ValueError when there are 2**63 or more
+    multisets, which int64 ranks cannot index.
     """
-    rows = cell_size(m, 1, nvars)
-    total = comb(rows + n - 1, n)
-    multisets = combinations_with_replacement(range(rows), n)
-    read = 0
+    total = comb(cell_size(m, 1, nvars) + n - 1, n)
+    if total >= _INDEX_LIMIT:
+        raise ValueError(f"{total} multisets of {n} rows need fewer than 2**63 to be ranked")
     for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
+        yield _GRIDS.get(m, n, nvars, start, min(start + _CHUNK, total), multisets=True)
 
-        def build() -> np.ndarray:
-            nonlocal read
-            next(islice(multisets, start - read, start - read), None)  # skip cached chunks
-            picked = np.fromiter(
-                chain.from_iterable(islice(multisets, stop - start)),
-                dtype=np.int64,
-                count=(stop - start) * n,
-            )
-            read = stop
-            return _digits(m, nvars, picked.reshape(stop - start, n).T)
 
-        yield _GRIDS.fetch(("multisets", m, n, nvars, start, stop), build)
+@lru_cache(maxsize=32)
+def _binomials(rows: int, n: int) -> tuple[np.ndarray, ...]:
+    """For k = 1..n, C(x, k) for x = 0..rows + k - 2: the entries that
+    unranking multisets of n out of `rows` reads, each below
+    C(rows + n - 1, n).  C(x, k) is the sum of C(y, k - 1) over y < x."""
+    tables = []
+    table = np.ones(rows - 1, dtype=np.int64)
+    for _ in range(n):
+        table = np.concatenate(([0], np.cumsum(table)))
+        table.flags.writeable = False
+        tables.append(table)
+    return tuple(tables)
+
+
+def _multiset_chunk(rows: np.ndarray, n: int, start: int, stop: int) -> np.ndarray:
+    """Read-only (nvars, n, A) grid of the multisets start..stop-1 of n of
+    the (nvars, R) `rows`, in the order of `combinations_with_replacement`.
+
+    The multiset of rows a_1 <= ... <= a_n is the combination a_k + k - 1
+    of n out of N = R + n - 1, and lexicographic rank i is colex rank
+    C(N, n) - 1 - i of its reflection x -> N - 1 - x.  That rank is
+    unranked in the combinatorial number system (Knuth, TAOCP 4A, 7.2.1.3),
+    one `searchsorted` per position, and the rows are gathered.
+    """
+    count = rows.shape[1]
+    rank = (comb(count + n - 1, n) - 1) - np.arange(start, stop, dtype=np.int64)
+    picked = np.empty((n, stop - start), dtype=np.int64)
+    for k, table in zip(range(n, 0, -1), reversed(_binomials(count, n))):
+        c = np.searchsorted(table, rank, side="right") - 1
+        rank -= table[c]
+        picked[n - k] = count + k - 2 - c
+    grid = np.take(rows, picked, axis=1)
+    grid.flags.writeable = False
+    return grid
 
 
 def _tops(m_max: int) -> range:
@@ -502,11 +528,8 @@ def _multiset_size(m_max: int, n_max: int, nvars: int) -> tuple[int, int]:
 
 def multiset_cost(m_max: int, n_max: int, nvars: int) -> tuple[int, bool]:
     """How many row multisets `valid_in_cells` evaluates for these bounds,
-    and whether their grids fit in the grid cache together.
-
-    When they do not, the cache evicts each chunk before the next formula
-    comes back to it, so every formula decodes all of them anew.
-    """
+    and whether their grids fit in the grid cache together; `search.scan_cells`
+    routes on these."""
     count, nbytes = _multiset_size(m_max, n_max, nvars)
     return count, nbytes <= _GRIDS.max_bytes
 

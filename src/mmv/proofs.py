@@ -17,10 +17,10 @@ The audits do not trust the axiom table: `axiom_soundness_audit` instantiates
 every schema at random and grinds the instances through exhaustive (or
 sampled) valuation grids, and `derived_rule_audit` checks the semantic fact
 behind each admissible rule on random finite structures.  Instances go
-through `search.scan_cells`, the same scan `refute` uses: one valid on every
-row multiset is settled in one pass, and any other is scanned cell by cell,
-which re-verifies the first violation exactly.  The distinct instances of
-all schemas share one `search.fan_out` call, so `jobs` changes no report.
+through `search.scan_cells`, the same scan `refute` uses (and the one owner
+of its row-multiset route), which re-verifies the first violation exactly.
+The distinct instances of all schemas share one `search.fan_out` call, so
+`jobs` changes no report.
 """
 
 from __future__ import annotations
@@ -520,21 +520,16 @@ class AxiomAuditReport:
 
 
 def _scan_instance(
-    settles: Mapping[int, bool],
-    cells: Sequence[tuple[int, int]],
-    cap: int,
-    task: tuple,
+    cells: Sequence[tuple[int, int]], cap: int, task: tuple
 ) -> tuple[int, AuditViolation | None]:
     """Scan one instance of a schema over every cell up to its first violation.
 
-    `settles[nvars]` says whether a multiset pass comes before every cell
-    (`search.scan_cells` with `settle_at=0`); a clean instance then reports
-    the assignments of the per-cell scan.  Violations and seed streams are
-    those of the per-cell scan over the m-major `cells`.
+    A multiset pass may settle the instance before any cell
+    (`search.scan_cells` with `settle_first`); violations, seed streams and
+    assignments are those of the per-cell scan over the m-major `cells`.
     """
-    name, instance, nvars, seed_base = task
-    settle_at = 0 if settles[nvars] else None
-    checked, _, hit = search.scan_cells((), instance, cells, cap, seed_base, settle_at=settle_at)
+    name, instance, seed_base = task
+    checked, _, hit = search.scan_cells((), instance, cells, cap, seed_base, settle_first=True)
     if hit is None:
         return checked, None
     m, n, valuation, values = hit
@@ -564,13 +559,9 @@ def axiom_soundness_audit(
     `enumeration.check_cell`).  The distinct instances of all schemas go
     through one `search.fan_out`, so the report does not depend on jobs.
 
-    An instance is first decided in one pass over row multisets (see the
-    `enumeration` module docstring) whenever those are no more than the
-    assignments the per-cell scan would check, and either their grids fit in
-    the grid cache or every cell is exhaustive.  A valid instance then
-    reports those assignments, as the per-cell scan would: a sampled cell
-    checks `cap` of them and finds nothing.  Any other instance is scanned
-    cell by cell, which finds and re-verifies the first violation.
+    A valid instance may be settled by one pass over row multisets before
+    any cell, when `search.scan_cells` finds that this pays; it reports the
+    assignments of the per-cell scan all the same.
     """
     if axioms is None:
         axioms = DEFAULT_AXIOMS
@@ -591,23 +582,13 @@ def axiom_soundness_audit(
             instance = random_instance(rng, pattern, names, max_depth)
             drawn.setdefault(instance, [offset, 0])[1] += 1
         for instance, (offset, count) in drawn.items():
-            nvars = len(variables(instance))
-            tasks.append((name, instance, nvars, (seed, schema_index, offset)))
+            tasks.append((name, instance, (seed, schema_index, offset)))
             counts.append(count)
     cells = [(m, n) for m in range(1, m_max + 1) for n in range(1, n_max + 1)]
-    settles = {}
-    for nvars in {task[2] for task in tasks}:
-        exhaustive = [enumeration.check_cell(m, n, nvars, cap) for m, n in cells]
-        covered = sum(
-            enumeration.cell_size(m, n, nvars) if full else cap
-            for (m, n), full in zip(cells, exhaustive)
-        )
-        multisets, cached = enumeration.multiset_cost(m_max, n_max, nvars)
-        # past the grid cache every instance decodes its multisets anew, at
-        # several times the cost of scanning as many assignments, so they
-        # then go first only when every cell is scanned in full
-        settles[nvars] = multisets <= covered and (cached or all(exhaustive))
-    scan = partial(_scan_instance, settles, cells, cap)
+    for nvars in {len(variables(task[1])) for task in tasks}:  # before any scan
+        for m, n in cells:
+            enumeration.check_cell(m, n, nvars, cap)
+    scan = partial(_scan_instance, cells, cap)
     results = search.fan_out(scan, tasks, jobs)
     for task, count, (checked, violation) in zip(tasks, counts, results):
         report.assignments[task[0]] += checked

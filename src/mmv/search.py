@@ -13,12 +13,23 @@ One routine, `scan_cells`, walks ordered cells up to the first hit for both
 `refute` and `proofs.axiom_soundness_audit`: it compiles the claim once,
 checks every cell before scanning any, seeds each cell from the caller's
 seed and the cell, and re-verifies the hit through the exact scalar
-evaluator before it is reported.  From a cell the caller names it first
-runs one pass over row multisets (see `enumeration`): a claim with no
-failure there has none in any cell, so the cells left count what their
-scan would and are not scanned, and any other claim is scanned on as
-before.  `refute` names its first sampled cell when the multisets are no
-more than the sampled cells would check; the audit names its first cell.
+evaluator before it is reported.
+
+It alone decides the row-multiset route.  One pass over the multisets of
+world rows (`enumeration.multisets_clean`) decides every cell up to the
+largest m and n: a claim with no failure there has none in any cell.  The
+pass stands for the cells from the first sampled one on (`refute`) or for
+all of them (the audit, `settle_first`), and it runs only when those cells
+are left, the multisets number fewer than 2**63 and no more than the
+min(size, cap) assignments the cells would check, and their grids fit the
+grid cache or every one of the cells is exhaustive: past the cache each
+claim decodes its multisets anew, which was no faster than the per-cell
+scan on the audit at m_max = 5, n_max = 3 (4.7-5.3 s against 4.8-5.1 s at
+trials=8, seed=11, on a 2-core host).  A clean claim
+then counts those assignments, as the per-cell scan would, without
+scanning the cells; any other is scanned on cell by cell, so first hits,
+seed streams and reports are those of the per-cell scan.
+
 `fan_out` is the one place worker processes start for `jobs`; results come
 back in task order, so they do not depend on jobs.  An "exhausted" verdict
 means only that the finite budget turned up nothing; it certifies nothing
@@ -189,7 +200,7 @@ def scan_cells(
     cap: int,
     seed_base: tuple,
     jobs: int = 1,
-    settle_at: int | None = None,
+    settle_first: bool = False,
 ) -> tuple[int, int, tuple | None]:
     """Scan the cells in the order given up to the first verified hit.
 
@@ -200,17 +211,14 @@ def scan_cells(
     so the result does not depend on jobs.  Returns (assignments checked,
     cells visited, hit), where hit is (m, n, valuation, values) or None.
 
-    With `settle_at` = k, one pass over row multisets
-    (`enumeration.multisets_clean`, up to the largest m and n of the cells)
-    runs once cells[:k] are scanned without a hit.  When it finds no
-    failure, no cell has one, so cells[k:] count min(size, cap) assignments
-    each, as their scan would, and are not scanned; otherwise they are
-    scanned as without it.  Either way the result is the same.
+    A multiset pass (see the module docstring) stands for every cell when
+    `settle_first` is set, and otherwise for the cells from the first
+    sampled one on; it runs, when it pays, once the cells before those are
+    scanned without a hit.  Either way the result is the same.
     """
     program = enumeration.compile_claim(premises, conclusion)
     nvars = len(program.names)
-    for m, n in cells:
-        enumeration.check_cell(m, n, nvars, cap)
+    exhaustive = [enumeration.check_cell(m, n, nvars, cap) for m, n in cells]
 
     def scan(part: Sequence[tuple[int, int]]) -> tuple[int, int, tuple | None]:
         checked = 0
@@ -222,17 +230,29 @@ def scan_cells(
                 return checked, visited, (m, n, dict(result.valuation), values)
         return checked, len(part), None
 
-    if settle_at is None:
+    split = 0 if settle_first else next(
+        (i for i, full in enumerate(exhaustive) if not full), len(cells)
+    )
+    rest = cells[split:]
+    settle = False
+    if rest:  # otherwise every cell is scanned, and the cost is not worked out
+        m_max, n_max = max(m for m, _ in cells), max(n for _, n in cells)
+        covered = sum(min(enumeration.cell_size(m, n, nvars), cap) for m, n in rest)
+        multisets, cached = enumeration.multiset_cost(m_max, n_max, nvars)
+        settle = (
+            multisets < enumeration._INDEX_LIMIT
+            and multisets <= covered
+            and (cached or all(exhaustive[split:]))
+        )
+    if not settle:
         return scan(cells)
-    checked, visited, hit = scan(cells[:settle_at])
-    rest = cells[settle_at:]
-    if hit is not None or not rest:
+    checked, visited, hit = scan(cells[:split])
+    if hit is not None:
         return checked, visited, hit
-    if enumeration.multisets_clean(program, max(m for m, _ in cells), max(n for _, n in cells)):
-        clean = sum(min(enumeration.cell_size(m, n, nvars), cap) for m, n in rest)
-        return checked + clean, len(cells), None
+    if enumeration.multisets_clean(program, m_max, n_max):
+        return checked + covered, len(cells), None
     more, visited, hit = scan(rest)
-    return checked + more, settle_at + visited, hit
+    return checked + more, split + visited, hit
 
 
 def refute(
@@ -247,29 +267,12 @@ def refute(
     report; `scan_cells` does the scan, so results do not depend on jobs.
     Raises ValueError before scanning any cell when one within the cap is
     too large to index (see `enumeration.check_cell`).
-
-    Cells come smallest first, so every cell from the first sampled one on
-    is sampled.  Those are settled by one pass over row multisets when the
-    multisets are no more than the `cap` assignments each of them would
-    check and their grids fit in the grid cache (`enumeration.multiset_cost`).
-    A clean claim then reports what the per-cell scan would report, and any
-    other goes on cell by cell.
     """
     premises = tuple(premises)
     nvars = len(set().union(*(variables(f) for f in (*premises, conclusion))))
     cells = _cells(budget, nvars)
-    cap = budget.valuation_cap
-    split = next(
-        (i for i, (m, n) in enumerate(cells) if enumeration.cell_size(m, n, nvars) > cap),
-        len(cells),
-    )
-    settle_at = None
-    if split < len(cells):
-        multisets, cached = enumeration.multiset_cost(budget.m_max, budget.n_max, nvars)
-        if cached and multisets <= cap * (len(cells) - split):
-            settle_at = split
     checked, visited, hit = scan_cells(
-        premises, conclusion, cells, cap, (budget.seed,), jobs, settle_at
+        premises, conclusion, cells, budget.valuation_cap, (budget.seed,), jobs
     )
     if hit is None:
         return SearchReport("exhausted", budget.seed, cells, checked, caveat=EXHAUSTED_CAVEAT)

@@ -1043,7 +1043,7 @@ def reference_fep(subset, witnesses):
 
 
 def _family_numerators(family):
-    """The (values, d) pair that fep_embed hands to _verify_fep."""
+    """The (values, d) pair that fep_embed hands to _verify_images."""
     return analysis._scaled(family, len(family[0]))
 
 
@@ -1207,8 +1207,9 @@ def test_verify_fep_matches_reference(block, monkeypatch):
             candidates = list(itertools.product(core.enumerate_chain(2 * emb.m), repeat=emb.n))
             for mapping in _corrupted_mappings(emb.mapping, candidates, False):
                 expected = reference_verify_fep(family, mapping, m, emb.n)
+                images = [mapping[a] for a in family]
                 assert _message(
-                    analysis._verify_fep, family, *_family_numerators(family), mapping, m, emb.n
+                    analysis._verify_images, *_family_numerators(family), images, m, emb.n
                 ) == expected
                 seen.add(expected)
     assert seen == {
@@ -1282,7 +1283,8 @@ def test_fep_with_a_common_denominator_past_int64():
     assert emb.m >= 2**63
     mapping = dict(emb.mapping)
     mapping[family[2]] = tuple(F(1, 2 * primes[0]) if v == F(1, primes[0]) else v for v in mapping[family[2]])
+    images = [mapping[a] for a in family]
     assert _message(
-        analysis._verify_fep, family, *_family_numerators(family), mapping, 2 * emb.m, emb.n
+        analysis._verify_images, *_family_numerators(family), images, 2 * emb.m, emb.n
     ) == reference_verify_fep(family, mapping, 2 * emb.m, emb.n)
     assert reference_verify_fep(family, mapping, 2 * emb.m, emb.n) is not None

@@ -235,6 +235,26 @@ def test_multiset_grids_list_every_multiset_of_rows_once(m, n, nvars, monkeypatc
             assert got == expected
 
 
+@pytest.mark.parametrize("m, n, nvars", [(3, 3, 3), (5, 3, 2), (2, 6, 1), (1, 1, 3), (4, 2, 0)])
+def test_multiset_chunks_decode_in_any_order(m, n, nvars, monkeypatch):
+    # each chunk is unranked from its own indices, so chunks read backwards
+    # and out of a cache that keeps one of them list the multisets as
+    # combinations_with_replacement does
+    rows = list(itertools.product(range(m, -1, -1), repeat=nvars))
+    expected = list(itertools.combinations_with_replacement(rows, n))
+    monkeypatch.setattr(enumeration, "_GRIDS", enumeration._GridCache(max_bytes=1))
+    bounds = [(start, min(start + 97, len(expected))) for start in range(0, len(expected), 97)]
+    got = {}
+    for start, stop in reversed(bounds):
+        grid = enumeration._GRIDS.get(m, n, nvars, start, stop, multisets=True)
+        assert grid.shape == (nvars, n, stop - start) and grid.flags.c_contiguous
+        got[start] = [
+            tuple(tuple(int(x) for x in grid[:, w, a]) for w in range(n))
+            for a in range(stop - start)
+        ]
+    assert [multiset for start, _ in bounds for multiset in got[start]] == expected
+
+
 # Fail exactly when all worlds agree on p / when three distinct rows occur /
 # over chains L_m with m even / with 3 | m / only when p = 1 at every world
 # (the first multiset) / only when p = 0 at every world (the last one).

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
 
 from mmv import enumeration
-from mmv.proofs import DEFAULT_AXIOMS, width_schema
+from mmv.proofs import DEFAULT_AXIOMS, axiom_soundness_audit, width_schema
 from mmv.randgen import random_formula, random_instance
 from mmv.search import (
     EXHAUSTED_CAVEAT,
@@ -22,6 +23,7 @@ from mmv.search import (
     fan_out,
     refute,
     refute_width_k,
+    scan_cells,
     star_power_formula,
 )
 from mmv.semantics import SafeStructure, evaluate
@@ -326,6 +328,112 @@ def test_refute_settle_route_mutations_show_in_the_reports(per_cell_reports, mon
         nvars = len(report["valuation"])
         size = enumeration.cell_size(report["m"], report["n"], nvars)
         assert size > budget.valuation_cap
+
+
+# Which cells are scanned before the multiset pass, and whether it runs, for
+# refute and the audit, against the rules each of them applied before
+# `scan_cells` owned the route.  The scan and the pass are fakes that only
+# record their calls, so a moved route shows even where reports cannot.
+
+ROUTE_BOUNDS = [
+    (m_max, n_max, nvars) for m_max in range(1, 6) for n_max in range(1, 4) for nvars in (1, 2, 3)
+]
+
+
+def _written_out_route(cells, nvars, cap, cache_bytes, audit):
+    """The cells scanned before the multiset pass, or None when none runs."""
+    m_max, n_max = max(m for m, _ in cells), max(n for _, n in cells)
+    tops = range(m_max // 2 + 1, m_max + 1)
+    multisets = sum(comb((m + 1) ** nvars + n_max - 1, n_max) for m in tops)
+    cached = multisets * nvars * n_max * 2 <= cache_bytes  # int16 grids
+    sizes = [(m + 1) ** (n * nvars) for m, n in cells]
+    if audit:
+        covered = sum(size if size <= cap else cap for size in sizes)
+        settles = multisets <= covered and (cached or all(size <= cap for size in sizes))
+        return [] if settles else None
+    split = next((i for i, size in enumerate(sizes) if size > cap), len(cells))
+    if split < len(cells) and cached and multisets <= cap * (len(cells) - split):
+        return cells[:split]
+    return None
+
+
+@pytest.mark.parametrize("cache_bytes", [16 << 20, 1 << 20])
+@pytest.mark.parametrize("cap", [100, 10**5, 10**6, 10**7])
+def test_multiset_route_is_the_written_out_rules(cap, cache_bytes, monkeypatch):
+    events = []
+    clean = True
+
+    def scan(program, m, n, cap, seed):
+        events.append((m, n))
+        size = enumeration.cell_size(m, n, len(program.names))
+        return enumeration.CellResult(False, None, min(size, cap), size <= cap)
+
+    def multiset_pass(program, m_max, n_max):
+        events.append(("pass", m_max, n_max))
+        return clean
+
+    monkeypatch.setattr(enumeration, "_GRIDS", enumeration._GridCache(cache_bytes))
+    monkeypatch.setattr(enumeration, "scan_program", scan)
+    monkeypatch.setattr(enumeration, "multisets_clean", multiset_pass)
+    seen = set()
+    for m_max, n_max, nvars in ROUTE_BOUNDS:
+        target = parse(" \\/ ".join("pqr"[:nvars]))
+        grid = [(m, n) for m in range(1, m_max + 1) for n in range(1, n_max + 1)]
+        by_size = sorted(grid, key=lambda cell: ((cell[0] + 1) ** (cell[1] * nvars), cell[1]))
+        covered = sum(min((m + 1) ** (n * nvars), cap) for m, n in grid)
+        for clean in (True, False):
+            for audit, cells in ((False, by_size), (True, grid)):
+                events.clear()
+                if audit:
+                    report = axiom_soundness_audit(
+                        m_max, n_max, trials=1, cap=cap, axioms={"A": target}
+                    )
+                    assert report.assignments == {"A": covered}
+                else:
+                    report = refute([], target, SearchBudget(m_max, n_max, cap))
+                    assert report.cells == by_size and report.assignments == covered
+                before = _written_out_route(cells, nvars, cap, cache_bytes, audit)
+                if before is None:
+                    expected = cells
+                else:
+                    rest = [] if clean else cells[len(before):]
+                    expected = [*before, ("pass", m_max, n_max), *rest]
+                assert events == expected, (audit, m_max, n_max, nvars)
+                seen.add((audit, before is None, bool(before)))
+    # (audit, no pass, cells scanned before the pass): either caller may
+    # settle or not, and refute settles after exhaustive cells at low caps
+    assert {(False, True, False), (True, False, False), (True, True, False)} <= seen
+    if cap <= 10**5:
+        assert (False, False, True) in seen
+
+
+def test_no_multiset_route_past_int64_ranks(monkeypatch):
+    # 21 variables at m, n <= 2: C(3**21 + 1, 2) >= 2**63 multisets, fewer
+    # than the assignments the cells check and, under a huge cache, cached;
+    # int64 ranks cannot index them, so the cells are scanned instead
+    nvars = 21
+    target = parse(" \\/ ".join(f"p{i}" for i in range(nvars)))
+    cells = [(1, 1), (2, 1), (1, 2), (2, 2)]
+    cap = 9**nvars - 1  # cell (2, 2) is sampled, the others are exhaustive
+    monkeypatch.setattr(enumeration, "_GRIDS", enumeration._GridCache(1 << 80))
+    multisets, cached = enumeration.multiset_cost(2, 2, nvars)
+    covered = sum(min(enumeration.cell_size(m, n, nvars), cap) for m, n in cells)
+    assert 2**63 <= multisets <= cap < covered and cached
+
+    def scan(program, m, n, cap, seed):
+        size = enumeration.cell_size(m, n, nvars)
+        return enumeration.CellResult(False, None, min(size, cap), size <= cap)
+
+    def no_pass(*args):
+        raise AssertionError("a multiset pass past int64 ranks")
+
+    monkeypatch.setattr(enumeration, "scan_program", scan)
+    monkeypatch.setattr(enumeration, "multisets_clean", no_pass)
+    for settle_first in (False, True):
+        got = scan_cells((), target, cells, cap, (0,), settle_first=settle_first)
+        assert got == (covered, len(cells), None)
+    with pytest.raises(ValueError, match="2\\*\\*63"):
+        next(enumeration._multiset_grids(2, 2, nvars))
 
 
 # ---------------------------------------------------------------------------
