@@ -3,12 +3,12 @@
 Exit codes are a stable contract: 0 for the affirmative outcome of the
 subcommand (value computed, consequence consistent, countermodel found,
 proof accepted, audit clean, algebra valid/simple/embeddable), 1 for the
-negative outcome, 2 for malformed input of any kind.
+negative outcome, 2 for malformed input of any kind.  `_Main.invoke`, around
+every subcommand, is the one place an input exception becomes exit 2.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 
@@ -21,29 +21,6 @@ from .syntax import Formula, ParseError, parse, print_formula
 def _fail(message: object) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(2)
-
-
-def _input_errors(func):
-    """Map every malformed-input exception onto exit code 2."""
-
-    @functools.wraps(func)
-    def wrapper(*args, **kwargs):
-        try:
-            return func(*args, **kwargs)
-        except ParseError as exc:
-            _fail(f"cannot parse formula: {exc}")
-        except json.JSONDecodeError as exc:
-            _fail(f"invalid JSON: {exc}")
-        except proofs.ProofFormatError as exc:
-            _fail(f"bad proof file: {exc}")
-        except analysis.AlgebraError as exc:
-            _fail(f"bad algebra: {exc}")
-        except OSError as exc:
-            _fail(exc)
-        except (KeyError, TypeError, ValueError) as exc:
-            _fail(exc)
-
-    return wrapper
 
 
 def _load_json(path: str) -> object:
@@ -96,7 +73,27 @@ _json_option = click.option(
 )
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group whose `invoke` maps malformed input onto exit 2."""
+
+    def invoke(self, ctx: click.Context) -> object:
+        try:
+            return super().invoke(ctx)
+        except ParseError as exc:
+            _fail(f"cannot parse formula: {exc}")
+        except json.JSONDecodeError as exc:
+            _fail(f"invalid JSON: {exc}")
+        except proofs.ProofFormatError as exc:
+            _fail(f"bad proof file: {exc}")
+        except analysis.AlgebraError as exc:
+            _fail(f"bad algebra: {exc}")
+        except OSError as exc:
+            _fail(exc)
+        except (KeyError, TypeError, ValueError) as exc:
+            _fail(exc)
+
+
+@click.group(cls=_Main)
 @click.version_option(package_name="mmv-workbench")
 def main() -> None:
     """Workbench for S5-modal many-valued logic and monadic MV-algebras."""
@@ -110,7 +107,6 @@ def main() -> None:
 @click.option("--model", "model_file", required=True, type=click.Path(), help="Model JSON file.")
 @click.option("--formula", "formula_text", required=True, help="Formula to evaluate.")
 @_json_option
-@_input_errors
 def eval_command(model_file: str, formula_text: str, as_json: bool) -> None:
     """Evaluate a formula over a finite structure, world by world."""
     structure = semantics.model_from_json(_load_json(model_file))
@@ -133,7 +129,6 @@ def eval_command(model_file: str, formula_text: str, as_json: bool) -> None:
 @click.option("--gamma", "gamma_file", type=click.Path(), help="Premise file, one formula per line.")
 @click.option("--formula", "formula_text", required=True, help="Candidate conclusion.")
 @_json_option
-@_input_errors
 def model_check_command(
     model_file: str, gamma_file: str | None, formula_text: str, as_json: bool
 ) -> None:
@@ -168,7 +163,6 @@ def model_check_command(
 @_seed_option
 @_jobs_option
 @_json_option
-@_input_errors
 def refute_command(
     formula_text: str,
     gamma_file: str | None,
@@ -223,7 +217,6 @@ def refute_command(
 @click.option("--boxinf-bound", type=int, default=None,
               help="Largest instantiation bound accepted for the infinitary rule.")
 @_json_option
-@_input_errors
 def prove_command(
     proof_file: str, width: int | None, boxinf_bound: int | None, as_json: bool
 ) -> None:
@@ -265,7 +258,6 @@ def audit() -> None:
 @_seed_option
 @_jobs_option
 @_json_option
-@_input_errors
 def audit_axioms_command(
     trials: int, m_max: int, n_max: int, cap: int, max_depth: int,
     seed: int, jobs: int, as_json: bool,
@@ -303,7 +295,6 @@ def audit_axioms_command(
 @click.option("--n-max", type=int, default=3, show_default=True)
 @_seed_option
 @_json_option
-@_input_errors
 def audit_rules_command(
     rule_name: str, trials: int, m_max: int, n_max: int, seed: int, as_json: bool
 ) -> None:
@@ -335,7 +326,6 @@ def audit_rules_command(
 @click.option("--n-max", type=int, default=3, show_default=True)
 @_seed_option
 @_json_option
-@_input_errors
 def audit_boxinf_command(
     bound: int, trials: int, m_max: int, n_max: int, seed: int, as_json: bool
 ) -> None:
@@ -380,7 +370,6 @@ def _set_text(labels: list[str]) -> str:
 @algebra.command("validate")
 @click.argument("algebra_file", type=click.Path())
 @_json_option
-@_input_errors
 def algebra_validate_command(algebra_file: str, as_json: bool) -> None:
     """Check every MV and quantifier identity.  Exit 1 when any fails."""
     algebra_obj = analysis.algebra_from_json(_load_json(algebra_file), check=False)
@@ -409,7 +398,6 @@ def algebra_validate_command(algebra_file: str, as_json: bool) -> None:
 @click.option("--width-cap", type=int, default=64, show_default=True,
               help="Largest carrier the width brute force will accept.")
 @_json_option
-@_input_errors
 def algebra_classify_command(algebra_file: str, width_cap: int, as_json: bool) -> None:
     """Subdirect irreducibility, simplicity, and orthogonal width."""
     algebra_obj = analysis.algebra_from_json(_load_json(algebra_file))
@@ -430,7 +418,6 @@ def algebra_classify_command(algebra_file: str, width_cap: int, as_json: bool) -
 @algebra.command("filters")
 @click.argument("algebra_file", type=click.Path())
 @_json_option
-@_input_errors
 def algebra_filters_command(algebra_file: str, as_json: bool) -> None:
     """List all filters with the prime and maximal ones singled out."""
     algebra_obj = analysis.algebra_from_json(_load_json(algebra_file))
@@ -457,7 +444,6 @@ def algebra_filters_command(algebra_file: str, as_json: bool) -> None:
 @algebra.command("radical")
 @click.argument("algebra_file", type=click.Path())
 @_json_option
-@_input_errors
 def algebra_radical_command(algebra_file: str, as_json: bool) -> None:
     """Intersection of the maximal filters."""
     algebra_obj = analysis.algebra_from_json(_load_json(algebra_file))
@@ -474,7 +460,6 @@ def algebra_radical_command(algebra_file: str, as_json: bool) -> None:
 @click.option("--width-cap", type=int, default=64, show_default=True,
               help="Carrier cap for the classification evidence on refusal.")
 @_json_option
-@_input_errors
 def algebra_represent_command(algebra_file: str, width_cap: int, as_json: bool) -> None:
     """Embed a simple algebra into tuples indexed by its maximal filters.
 
@@ -529,7 +514,6 @@ def _witness_entry(entry: object) -> tuple[tuple, int]:
               help="Comma-separated tuple to include in the finite subset "
                    "(repeatable; default: the whole carrier).")
 @_json_option
-@_input_errors
 def algebra_fep_command(
     algebra_file: str, element_texts: tuple[str, ...], as_json: bool
 ) -> None:

@@ -178,27 +178,17 @@ def _compile(formulas: Sequence[Formula]) -> _Program:
         seen[id(f)] = index
         return index
 
-    roots = tuple(visit(f) for f in formulas)
+    # visiting root k interns exactly the ops it needs that earlier roots
+    # did not, children first: those are its steps
+    roots, steps = [], []
+    for f in formulas:
+        start = len(ops)
+        roots.append(visit(f))
+        steps.append(tuple(range(start, len(ops))))
     names = tuple(sorted({op[1] for op in ops if op[0] == _VAR}))
     slot = {name: i for i, name in enumerate(names)}
     ops = [(_VAR, slot[op[1]], None) if op[0] == _VAR else op for op in ops]
-
-    done: set[int] = set()
-    steps = []
-    for root in roots:
-        needed: set[int] = set()
-        stack = [root]
-        while stack:
-            index = stack.pop()
-            if index in done or index in needed:
-                continue
-            needed.add(index)
-            code, a, b = ops[index]
-            if code > _CONST:
-                stack.extend(c for c in (a, b) if c is not None)
-        done |= needed
-        steps.append(tuple(sorted(needed)))
-    return _Program(names, tuple(ops), roots, tuple(steps))
+    return _Program(names, tuple(ops), tuple(roots), tuple(steps))
 
 
 def _fold_rows(ufunc: np.ufunc, value: np.ndarray) -> np.ndarray:

@@ -196,11 +196,8 @@ class Verdict:
         return data
 
 
-_BOXINF_SHAPE = Join(
-    Box(MetaVar("phi")),
-    Impl(Box(MetaVar("alpha")), Star(Box(MetaVar("alpha")), Box(MetaVar("beta")))),
-)
-_BOXINF_SHAPE_TEXT = "[]phi \\/ ([]alpha -> []alpha*[]beta)"
+_BOXINF_SHAPE = search.boxinf_conclusion(MetaVar("phi"), MetaVar("alpha"), MetaVar("beta"))
+_BOXINF_SHAPE_TEXT = print_formula(_BOXINF_SHAPE)
 
 
 def _star_leaf_count(tree: Formula, base: Formula) -> int | None:

@@ -15,7 +15,8 @@ modalities.  Concrete ASCII syntax, loosest-binding first:
 
 All binary connectives except ``->`` associate to the left.  ``a == b``
 parses to ``(a -> b) /\\ (b -> a)``; there is no equivalence node in the AST
-and the printer never emits ``==``.
+and the printer never emits ``==``.  The parser reads binding strength from
+the printer's table (``_BINARY_INFO``), so the two cannot disagree.
 
 Schemas (axiom shapes) are ordinary formula trees whose leaves are
 ``MetaVar`` nodes.  A metavariable may carry the ``modalized`` flag, in which
@@ -157,6 +158,13 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# token kind -> connective; binding strength is the printer's `_BINARY_INFO`
+_CONNECTIVES = {
+    "impl": Impl, "join": Join, "meet": Meet, "oplus": Oplus, "star": Star,
+    "not": Not, "box": Box, "dia": Dia,
+}
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -186,59 +194,32 @@ class _Parser:
         return formula
 
     def _equiv(self) -> Formula:
-        left = self._impl()
+        left = self._binary(_PREC_IMPL)
         if self._peek() == "equiv":
             self._advance()
-            right = self._impl()
+            right = self._binary(_PREC_IMPL)
             return equiv(left, right)
         return left
 
-    def _impl(self) -> Formula:
-        left = self._join()
-        if self._peek() == "impl":
-            self._advance()
-            return Impl(left, self._impl())
-        return left
-
-    def _join(self) -> Formula:
-        formula = self._meet()
-        while self._peek() == "join":
-            self._advance()
-            formula = Join(formula, self._meet())
-        return formula
-
-    def _meet(self) -> Formula:
-        formula = self._oplus()
-        while self._peek() == "meet":
-            self._advance()
-            formula = Meet(formula, self._oplus())
-        return formula
-
-    def _oplus(self) -> Formula:
-        formula = self._star()
-        while self._peek() == "oplus":
-            self._advance()
-            formula = Oplus(formula, self._star())
-        return formula
-
-    def _star(self) -> Formula:
+    def _binary(self, min_prec: int) -> Formula:
+        """Binary connectives binding at least as tightly as min_prec."""
         formula = self._unary()
-        while self._peek() == "star":
+        while True:
+            connective = _CONNECTIVES.get(self._peek())
+            info = _BINARY_INFO.get(connective)
+            if info is None or info[0] < min_prec:
+                return formula
             self._advance()
-            formula = Star(formula, self._unary())
-        return formula
+            prec = info[0]
+            # `->` associates to the right, the others to the left
+            right = self._binary(prec if connective is Impl else prec + 1)
+            formula = connective(formula, right)
 
     def _unary(self) -> Formula:
-        kind = self._peek()
-        if kind == "not":
+        connective = _CONNECTIVES.get(self._peek())
+        if connective in _UNARY_INFO:
             self._advance()
-            return Not(self._unary())
-        if kind == "box":
-            self._advance()
-            return Box(self._unary())
-        if kind == "dia":
-            self._advance()
-            return Dia(self._unary())
+            return connective(self._unary())
         return self._atom()
 
     def _atom(self) -> Formula:

@@ -17,7 +17,7 @@ class InProcessPool:
         self.shutdowns = []
         self.built.append(self)
 
-    def map(self, fn, tasks):
+    def map(self, fn, tasks, chunksize=1):
         return map(fn, tasks)
 
     def shutdown(self, wait=True, cancel_futures=False):

@@ -620,3 +620,60 @@ def test_algebra_validate_rejects_malformed_generators(runner, tmp_path, entry):
         f"error: bad algebra: bad functional algebra data: generators entry "
         f"{json.dumps(entry)} is not a list of rational strings\n"
     )
+
+
+# ---------------------------------------------------------------------------
+# the exit-2 boundary: every subcommand, nested groups included
+# ---------------------------------------------------------------------------
+
+_BOUNDARY_CASES = [
+    (("eval", "--model", MODEL, "--formula", "p"), "mmv.semantics.evaluate"),
+    (("audit", "axioms", "--trials", "1"), "mmv.proofs.axiom_soundness_audit"),
+    (
+        ("algebra", "validate", str(CORPUS / "algebras" / "boolean-square.json")),
+        "mmv.analysis.algebra_from_json",
+    ),
+]
+
+
+def _raiser(error):
+    def raise_it(*args, **kwargs):
+        raise error
+
+    return raise_it
+
+
+@pytest.mark.parametrize("args, target", _BOUNDARY_CASES)
+def test_engine_errors_are_not_input_errors(runner, monkeypatch, args, target):
+    monkeypatch.setattr(target, _raiser(RuntimeError("engine bug")))
+    result = runner.invoke(main, list(args))
+    assert result.exit_code == 1
+    assert isinstance(result.exception, RuntimeError)
+    assert "error:" not in result.output
+
+
+@pytest.mark.parametrize("args, target", _BOUNDARY_CASES)
+@pytest.mark.parametrize(
+    "error, printed",
+    [(ValueError("bad value"), "bad value"), (KeyError("k"), "'k'"), (TypeError("t"), "t")],
+)
+def test_library_input_errors_exit_2(runner, monkeypatch, args, target, error, printed):
+    monkeypatch.setattr(target, _raiser(error))
+    result = invoke(runner, *args)
+    assert result.exit_code == 2
+    assert result.output == f"error: {printed}\n"
+
+
+def test_parse_errors_exit_2_at_the_boundary(runner):
+    result = invoke(runner, "refute", "--formula", "p <> q")
+    assert result.exit_code == 2
+    assert result.output == (
+        "error: cannot parse formula: unexpected '<>' after formula (at position 2)\n"
+    )
+
+
+def test_option_type_errors_stay_with_click(runner):
+    result = invoke(runner, "refute", "--formula", "p", "--m-max", "x")
+    assert result.exit_code == 2
+    assert "Invalid value for '--m-max'" in result.output
+    assert "error:" not in result.output

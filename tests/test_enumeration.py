@@ -12,7 +12,7 @@ from mmv import core, enumeration
 from mmv.enumeration import cell_size, eval_bulk, scan_cell, valid_in_cells
 from mmv.proofs import DEFAULT_AXIOMS
 from mmv.randgen import random_formula, random_instance
-from mmv.syntax import parse, schema, variables
+from mmv.syntax import parse, schema, subformulas, variables
 
 
 def test_cell_sizes():
@@ -186,6 +186,51 @@ def test_int64_grids_decode_hits_like_int16_grids():
         "p": (F(3477, 4000), F(11643, 20000)),
         "q": (F(999, 1250), F(5839, 20000)),
     }
+
+
+def _reachable(ops, root):
+    found, stack = set(), [root]
+    while stack:
+        index = stack.pop()
+        if index not in found:
+            found.add(index)
+            code, a, b = ops[index]
+            if code > enumeration._CONST:
+                stack.extend(c for c in (a, b) if c is not None)
+    return found
+
+
+def _claims(seed):
+    """Random claims with 0-3 premises, shared subformulas among them, and
+    one random instance of every default axiom."""
+    rng = random.Random(seed)
+    for _ in range(40):
+        formulas = [random_formula(rng, max_depth=4) for _ in range(rng.randint(1, 4))]
+        # repeats and subformulas of earlier roots as later roots
+        if rng.random() < 0.5:
+            formulas.insert(rng.randrange(len(formulas) + 1), rng.choice(formulas))
+        if rng.random() < 0.5:
+            formulas.append(rng.choice(list(subformulas(rng.choice(formulas)))))
+        yield formulas
+    for pattern in DEFAULT_AXIOMS.values():
+        yield [random_instance(rng, pattern)]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_steps_are_the_ops_each_root_adds(seed):
+    """steps[k] lists, in order, the ops reachable from root k and from no
+    earlier root; each op's operands come before it."""
+    for formulas in _claims(seed):
+        program = enumeration._compile(formulas)
+        done = set()
+        for root, steps in zip(program.roots, program.steps, strict=True):
+            needed = _reachable(program.ops, root) - done
+            assert steps == tuple(sorted(needed))
+            done |= needed
+        assert done == set(range(len(program.ops)))
+        for index, (code, a, b) in enumerate(program.ops):
+            if code > enumeration._CONST:
+                assert all(c < index for c in (a, b) if c is not None)
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -197,6 +197,23 @@ def test_fan_out_maps_in_order_without_a_pool_for_one_task(fake_pool):
     assert [pool.max_workers for pool in fake_pool.built] == [3]
 
 
+def test_pool_tasks_go_out_in_chunks_of_a_quarter_share(fake_pool, monkeypatch):
+    # many short audit instances share a round trip; refute's at most 9
+    # cells still go one at a time, so stopping early cancels as before
+    calls = []
+
+    def recording_map(self, fn, tasks, chunksize=1):
+        calls.append((len(tasks), self.max_workers, chunksize))
+        return map(fn, tasks)
+
+    monkeypatch.setattr(fake_pool, "map", recording_map)
+    tasks = list(range(-50, 50))
+    assert list(fan_out(abs, tasks, jobs=3)) == [abs(t) for t in tasks]
+    refute([], parse("<>(p*q) -> <>p*<>q"), jobs=64)
+    refute([], parse("<>(p*q) -> <>p*<>q"), jobs=2)
+    assert calls == [(100, 3, 8), (9, 9, 1), (9, 2, 1)]
+
+
 def test_refute_re_verifies_every_hit(monkeypatch):
     # a scanner that reports an all-ones "countermodel" of p -> p must be
     # caught by the exact re-check, not reported

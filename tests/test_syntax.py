@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import parser_reference
 from mmv.randgen import random_formula
 from mmv.syntax import (
     Box,
@@ -104,6 +105,75 @@ def test_parse_errors_carry_positions():
     for bad in ("", "p q", "p ->", "* p", "p -> $"):
         with pytest.raises(ParseError):
             parse(bad)
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        # a prefix connective in infix place ends the formula
+        ("p <> q", "unexpected '<>' after formula", 2),
+        ("p ~ q", "unexpected '~' after formula", 2),
+        # a binary connective in operand place is no operand
+        ("[] -> p", "unexpected '->'", 3),
+        ("p -> (q", "expected ')'", 7),
+        ("p ->", "unexpected end of input", 4),
+        ("p == q == r", "unexpected '==' after formula", 7),
+    ],
+)
+def test_parse_error_messages(text, message, position):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
+_TOKENS = (
+    "p", "q", "0", "1", "~", "[]", "<>", "->", "==", "\\/", "/\\", "(+)", "*",
+    "(", ")", "(", ")", " ", "$",
+)
+
+
+def _outcome(parse_fn, text):
+    try:
+        return parse_fn(text)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+def _mutated(rng, text):
+    """A printed formula with one token inserted, deleted or replaced."""
+    pieces = text.split(" ")
+    at = rng.randrange(len(pieces) + 1)
+    action = rng.choice(("insert", "delete", "replace"))
+    if action == "insert" or at == len(pieces):
+        pieces.insert(at, rng.choice(_TOKENS))
+    elif action == "delete":
+        del pieces[at]
+    else:
+        pieces[at] = rng.choice(_TOKENS)
+    return " ".join(pieces)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_parser_matches_recursive_descent_reference(seed):
+    """Equal trees, or equal ParseError message and position, on random
+    token strings (mostly malformed) and on printed formulas, whole and with
+    one token changed."""
+    rng = random.Random(seed)
+    texts = []
+    for _ in range(3000):
+        count = rng.randrange(12)
+        texts.append("".join(rng.choice(_TOKENS) for _ in range(count)))
+    for _ in range(500):
+        text = print_formula(random_formula(rng, max_depth=4))
+        texts += [text, _mutated(rng, text)]
+    parsed = 0
+    for text in texts:
+        expected = _outcome(parser_reference.parse, text)
+        assert _outcome(parse, text) == expected, text
+        parsed += not isinstance(expected, tuple)
+    # both kinds of outcome are exercised
+    assert 500 <= parsed < len(texts) - 1000
 
 
 def test_variables_and_subformulas():
