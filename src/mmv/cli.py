@@ -5,17 +5,27 @@ subcommand (value computed, consequence consistent, countermodel found,
 proof accepted, audit clean, algebra valid/simple/embeddable), 1 for the
 negative outcome, 2 for malformed input of any kind.  `_Main.invoke`, around
 every subcommand, is the one place an input exception becomes exit 2.
+
+Each command imports only the layers it runs.  numpy comes with the grid
+scans of `refute` and `audit axioms` (`enumeration`, loaded at the first scan)
+and with the algebra tables (`analysis`, imported inside the `algebra`
+commands); `eval`, `model-check`, `prove`, `audit rules` and `audit boxinf`
+start without it.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from typing import TYPE_CHECKING
 
 import click
 
-from . import analysis, core, proofs, search, semantics
+from . import __version__, core, proofs, search, semantics
 from .syntax import Formula, ParseError, parse, print_formula
+
+if TYPE_CHECKING:
+    from . import analysis
 
 
 def _fail(message: object) -> None:
@@ -85,7 +95,8 @@ class _Main(click.Group):
             _fail(f"invalid JSON: {exc}")
         except proofs.ProofFormatError as exc:
             _fail(f"bad proof file: {exc}")
-        except analysis.AlgebraError as exc:
+        # an AlgebraError comes only from a command that imported analysis
+        except getattr(sys.modules.get("mmv.analysis"), "AlgebraError", ()) as exc:
             _fail(f"bad algebra: {exc}")
         except OSError as exc:
             _fail(exc)
@@ -94,7 +105,7 @@ class _Main(click.Group):
 
 
 @click.group(cls=_Main)
-@click.version_option(package_name="mmv-workbench")
+@click.version_option(version=__version__)
 def main() -> None:
     """Workbench for S5-modal many-valued logic and monadic MV-algebras."""
 
@@ -372,6 +383,8 @@ def _set_text(labels: list[str]) -> str:
 @_json_option
 def algebra_validate_command(algebra_file: str, as_json: bool) -> None:
     """Check every MV and quantifier identity.  Exit 1 when any fails."""
+    from . import analysis
+
     algebra_obj = analysis.algebra_from_json(_load_json(algebra_file), check=False)
     violations = algebra_obj.validate()
     if as_json:
@@ -400,6 +413,8 @@ def algebra_validate_command(algebra_file: str, as_json: bool) -> None:
 @_json_option
 def algebra_classify_command(algebra_file: str, width_cap: int, as_json: bool) -> None:
     """Subdirect irreducibility, simplicity, and orthogonal width."""
+    from . import analysis
+
     algebra_obj = analysis.algebra_from_json(_load_json(algebra_file))
     result = analysis.classify(algebra_obj, width_cap=width_cap)
     if as_json:
@@ -420,6 +435,8 @@ def algebra_classify_command(algebra_file: str, width_cap: int, as_json: bool) -
 @_json_option
 def algebra_filters_command(algebra_file: str, as_json: bool) -> None:
     """List all filters with the prime and maximal ones singled out."""
+    from . import analysis
+
     algebra_obj = analysis.algebra_from_json(_load_json(algebra_file))
     groups = {
         "all": analysis.filters(algebra_obj),
@@ -446,6 +463,8 @@ def algebra_filters_command(algebra_file: str, as_json: bool) -> None:
 @_json_option
 def algebra_radical_command(algebra_file: str, as_json: bool) -> None:
     """Intersection of the maximal filters."""
+    from . import analysis
+
     algebra_obj = analysis.algebra_from_json(_load_json(algebra_file))
     members = _labels_of(algebra_obj, analysis.radical(algebra_obj))
     if as_json:
@@ -465,6 +484,8 @@ def algebra_represent_command(algebra_file: str, width_cap: int, as_json: bool) 
 
     Exit 1 with classification evidence when the algebra is not simple.
     """
+    from . import analysis
+
     algebra_obj = analysis.algebra_from_json(_load_json(algebra_file))
     try:
         representation = analysis.represent_simple(algebra_obj, width_cap=width_cap)
@@ -522,6 +543,8 @@ def algebra_fep_command(
     The file's optional "witnesses" key ([[tuple, point], ...]) overrides the
     default first-minimum witnesses.  Exit 1 when a claimed witness fails.
     """
+    from . import analysis
+
     data = _load_json(algebra_file)
     algebra_obj = analysis.algebra_from_json(data)
     if algebra_obj.carrier is None:

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Mapping, Sequence
 
-from . import core, enumeration, search, semantics
+from . import core, search, semantics
+from .search import enumeration  # loaded at the first scan, not here
 from .randgen import check_trials, metavariables, random_formula, random_instance, random_valuation
 from .syntax import (
     Box,

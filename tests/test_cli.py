@@ -7,11 +7,16 @@ outcome, 2 for malformed input.
 from __future__ import annotations
 
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import mmv
 from mmv.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -26,6 +31,40 @@ def runner():
 
 def invoke(runner, *args, **kwargs):
     return runner.invoke(main, list(args), catch_exceptions=False, **kwargs)
+
+
+def run_fresh(*args: str, code: str | None = None) -> subprocess.CompletedProcess:
+    """`python -m mmv.cli args` (or `python -c code args`) in a new interpreter."""
+    command = ["-m", "mmv.cli"] if code is None else ["-c", code]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, *command, *args], cwd=ROOT, env=env, capture_output=True, text=True
+    )
+
+
+# ---------------------------------------------------------------------------
+# --version
+# ---------------------------------------------------------------------------
+
+
+def test_version_option_prints_the_package_version(runner):
+    # prog_name as the installed console script gives it
+    result = invoke(runner, "--version", prog_name="mmv")
+    assert result.exit_code == 0
+    assert result.output == f"mmv, version {mmv.__version__}\n"
+
+
+def test_version_option_runs_from_a_source_checkout():
+    result = run_fresh("--version")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.endswith(f", version {mmv.__version__}\n")
+
+
+def test_package_version_matches_pyproject():
+    # read by regex: tomllib is not in Python 3.10
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    project = text.split("[project]", 1)[1].split("\n[", 1)[0]
+    assert re.findall(r'^version = "([^"]+)"$', project, re.MULTILINE) == [mmv.__version__]
 
 
 # ---------------------------------------------------------------------------
@@ -677,3 +716,73 @@ def test_option_type_errors_stay_with_click(runner):
     assert result.exit_code == 2
     assert "Invalid value for '--m-max'" in result.output
     assert "error:" not in result.output
+
+
+# ---------------------------------------------------------------------------
+# fresh processes: each command loads only the layers it runs
+# ---------------------------------------------------------------------------
+
+# Runs one command, then prints which heavy layers ran as a last stderr line.
+# `search` registers `mmv.enumeration` for lazy loading, so the module sits in
+# sys.modules unexecuted (a ModuleType subclass) until the first scan.
+_LAYER_REPORT = """
+import json, sys, types
+from mmv.cli import main
+try:
+    main.main(sys.argv[1:], prog_name="mmv")
+except SystemExit as exit:
+    code = exit.code
+layers = ("numpy", "mmv.analysis", "mmv.enumeration")
+ran = [name for name in layers if type(sys.modules.get(name)) is types.ModuleType]
+print(json.dumps({"exit": code, "ran": ran}), file=sys.stderr)
+"""
+
+_ALGEBRAS = CORPUS / "algebras"
+_LAYER_CASES = [
+    (("eval", "--model", MODEL, "--formula", "[]p"), []),
+    (("model-check", "--model", MODEL, "--formula", "<>p"), []),
+    (("prove", str(CORPUS / "proofs" / "dia-from-p.json")), []),
+    (("prove", str(CORPUS / "proofs" / "boxinf-bounded.json")), []),
+    (("audit", "rules", "--rule", "prelinearity"), []),
+    (("audit", "boxinf", "--trials", "1000"), []),
+    (("--help",), []),
+    (("algebra", "classify", str(_ALGEBRAS / "boolean-square.json"), "--json"),
+     ["numpy", "mmv.analysis"]),
+    (("refute", "--formula", "<>p -> []p"), ["numpy", "mmv.enumeration"]),
+]
+
+
+@pytest.mark.parametrize("args, layers", _LAYER_CASES, ids=lambda v: " ".join(v)[:40])
+def test_commands_load_only_the_layers_they_run(args, layers):
+    result = run_fresh(*args, code=_LAYER_REPORT)
+    report = json.loads(result.stderr.splitlines()[-1])
+    assert report == {"exit": 0, "ran": layers}
+
+
+@pytest.mark.parametrize(
+    "args, proof, message",
+    [
+        (("algebra", "represent", str(_ALGEBRAS / "broken-exists.json")), None,
+         "bad algebra: algebra fails 5 identity check(s): "),
+        (("prove",), {"premises": [], "steps": []},
+         'bad proof file: "steps" must be a non-empty list\n'),
+        (("prove",), {"premises": [], "steps": [{"formula": "p", "by": "axiom"}]},
+         "bad proof file: justification 'axiom' lacks ':'\n"),
+        # past the AlgebraError clause while mmv.analysis was never imported
+        (("eval", "--model", MODEL, "--formula", "r"), None,
+         "structure assigns no value to 'r'\n"),
+        (("eval", "--model", "missing.json", "--formula", "p"), None,
+         "[Errno 2] No such file or directory: 'missing.json'\n"),
+    ],
+)
+def test_exit_2_prefixes_in_a_fresh_process(runner, tmp_path, args, proof, message):
+    # an in-process run finds mmv.analysis imported by earlier tests; a fresh
+    # process has it only in the algebra commands
+    if proof is not None:
+        path = tmp_path / "proof.json"
+        path.write_text(json.dumps(proof))
+        args = (*args, str(path))
+    result = run_fresh(*args)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("error: " + message)
+    assert result.stderr == invoke(runner, *args).output

@@ -161,9 +161,11 @@ def test_quantifier_identities_exhaustively_small():
 
 def test_exact_layers_import_without_numpy():
     # the package itself imports no submodule, so only the layers that scan
-    # grids or build algebra tables pull in numpy
+    # grids or build algebra tables pull in numpy: `search` defers the scan
+    # layer to the first scan, and `cli` imports `analysis` per command
     code = (
-        "import sys, mmv.syntax, mmv.core, mmv.semantics, mmv.randgen; "
+        "import sys, mmv.syntax, mmv.core, mmv.semantics, mmv.randgen, "
+        "mmv.search, mmv.proofs, mmv.cli; "
         "assert 'numpy' not in sys.modules, 'numpy was imported'"
     )
     src = str(Path(mmv.__file__).resolve().parent.parent)
