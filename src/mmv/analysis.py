@@ -56,6 +56,7 @@ import numpy as np
 
 from . import core
 from .core import MonadicElement
+from .syntax import InputError
 
 _ZERO = Fraction(0)
 
@@ -64,8 +65,10 @@ _ZERO = Fraction(0)
 _BLOCK = 1 << 16
 
 
-class AlgebraError(ValueError):
+class AlgebraError(InputError):
     """Structurally bad algebra input (shape, closure, failed load checks)."""
+
+    prefix = "bad algebra: "
 
 
 class NotSimpleError(AlgebraError):
@@ -185,16 +188,31 @@ def _row_blocks(rows: int, pairs_per_row: int) -> Iterable[slice]:
         yield slice(start, min(rows, start + step))
 
 
+def _is_index(value: object, size: int) -> bool:
+    """Whether `value` is an int (not a bool) in range(size)."""
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < size
+
+
 def _index_table(values, shape: tuple[int, ...], size: int, message: str) -> np.ndarray:
-    """`values` as an array, in object form unless every entry is in range(size)."""
+    """`values` as an array, in object form unless every entry is in range(size).
+
+    numpy reads a bool among ints as 0 or 1, so nested lists holding one
+    take the object form too.
+    """
     try:
         table = np.asarray(values)
     except ValueError:  # ragged, or entries of mixed nesting
         table = np.array(values, dtype=object)
     if table.shape != shape:
         raise AlgebraError(message)
-    if table.dtype.kind in "biu" and 0 <= table.min() and table.max() < size:
-        return table
+    if table.dtype.kind in "iu" and 0 <= table.min() and table.max() < size:
+        if isinstance(values, np.ndarray):
+            return table
+        entries = values
+        for _ in shape[1:]:
+            entries = itertools.chain.from_iterable(entries)
+        if bool not in set(map(type, entries)):
+            return table
     return np.array(values, dtype=object)
 
 
@@ -226,9 +244,9 @@ class FiniteMonadicAlgebra:
             raise AlgebraError("duplicate element labels")
         impl = _index_table(impl, (size, size), size, f"implication table must be {size}x{size}")
         exists = _index_table(exists, (size,), size, f"exists column must have {size} entries")
-        if object in (impl.dtype, exists.dtype) or not (isinstance(zero, int) and 0 <= zero < size):
+        if object in (impl.dtype, exists.dtype) or not _is_index(zero, size):
             for value in itertools.chain((zero,), exists.tolist(), impl.ravel().tolist()):
-                if not isinstance(value, int) or not 0 <= value < size:
+                if not _is_index(value, size):
                     raise AlgebraError(f"table entry {value!r} is not an element index")
         impl, exists = impl.astype(np.int32), exists.astype(np.int32)
         self.zero = int(zero)
@@ -994,6 +1012,14 @@ def _separate(values: np.ndarray, chosen: list[int]) -> None:
 # JSON forms
 
 
+def _json_int(data: Mapping, key: str) -> int:
+    """`data[key]`, which must be a JSON integer (not a bool)."""
+    value = data[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{key} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def _generator_entry(entry: object) -> MonadicElement:
     """A functional `generators` entry [rational string, ...], parsed."""
     if not isinstance(entry, (list, tuple)) or not all(isinstance(v, str) for v in entry):
@@ -1013,7 +1039,7 @@ def algebra_from_json(data: Mapping, check: bool = True) -> FiniteMonadicAlgebra
     form = data.get("form")
     if form == "functional":
         try:
-            m, n = int(data["m"]), int(data["n"])
+            m, n = _json_int(data, "m"), _json_int(data, "n")
             generators = [_generator_entry(element) for element in data["generators"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise AlgebraError(f"bad functional algebra data: {exc}") from exc
@@ -1027,15 +1053,17 @@ def algebra_from_json(data: Mapping, check: bool = True) -> FiniteMonadicAlgebra
         return generate_subalgebra(m, n, generators)
     if form == "tabular":
         try:
-            return FiniteMonadicAlgebra(
-                labels=[str(e) for e in data["elements"]],
-                impl=data["impl"],
-                zero=data["zero"],
-                exists=data["exists"],
-                check=check,
-            )
+            elements, impl = data["elements"], data["impl"]
+            zero, exists = data["zero"], data["exists"]
         except KeyError as exc:
             raise AlgebraError(f"bad tabular algebra data: missing {exc}") from exc
+        if not isinstance(elements, list):
+            raise AlgebraError(
+                f"bad tabular algebra data: elements must be a list, got {json.dumps(elements)}"
+            )
+        return FiniteMonadicAlgebra(
+            labels=[str(e) for e in elements], impl=impl, zero=zero, exists=exists, check=check
+        )
     raise AlgebraError(f"unknown algebra form {form!r}")
 
 

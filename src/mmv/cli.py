@@ -3,8 +3,14 @@
 Exit codes are a stable contract: 0 for the affirmative outcome of the
 subcommand (value computed, consequence consistent, countermodel found,
 proof accepted, audit clean, algebra valid/simple/embeddable), 1 for the
-negative outcome, 2 for malformed input of any kind.  `_Main.invoke`, around
-every subcommand, is the one place an input exception becomes exit 2.
+negative outcome, 2 for malformed input of any kind, and 3 for an internal
+error.  `_Main.invoke`, around every subcommand, is the one place an
+exception becomes an exit code.  Malformed input is an `InputError`, raised
+where data from outside the program is first checked, or an `OSError` from
+a file that cannot be read: one line `error: ...` on stderr, exit 2.  click
+reports its own usage errors (also exit 2).  Any other exception is a bug
+in the workbench, never blamed on the input: stderr gets its traceback and
+a last line `internal error: <type>: <message>`, and the exit code is 3.
 
 Each command imports only the layers it runs.  numpy comes with the grid
 scans of `refute` and `audit axioms` (`enumeration`, loaded at the first scan)
@@ -22,20 +28,27 @@ from typing import TYPE_CHECKING
 import click
 
 from . import __version__, core, proofs, search, semantics
-from .syntax import Formula, ParseError, parse, print_formula
+from .syntax import Formula, InputError, ParseError, parse, print_formula
 
 if TYPE_CHECKING:
     from . import analysis
 
 
-def _fail(message: object) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(2)
+def _read_text(path: str) -> str:
+    """The file's text; bytes that are not UTF-8 are malformed input."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(str(exc)) from exc
 
 
 def _load_json(path: str) -> object:
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"invalid JSON: {exc}") from exc
 
 
 def _load_gamma(path: str | None) -> list[Formula]:
@@ -43,15 +56,14 @@ def _load_gamma(path: str | None) -> list[Formula]:
     if path is None:
         return []
     formulas = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                formulas.append(parse(text))
-            except ParseError as exc:
-                _fail(f"{path}:{lineno}: cannot parse formula: {exc}")
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        try:
+            formulas.append(parse(text))
+        except ParseError as exc:
+            raise InputError(f"{path}:{lineno}: cannot parse formula: {exc}") from exc
     return formulas
 
 
@@ -84,24 +96,28 @@ _json_option = click.option(
 
 
 class _Main(click.Group):
-    """The command group whose `invoke` maps malformed input onto exit 2."""
+    """The command group whose `invoke` turns exceptions into exit codes 2 and 3."""
 
     def invoke(self, ctx: click.Context) -> object:
         try:
             return super().invoke(ctx)
-        except ParseError as exc:
-            _fail(f"cannot parse formula: {exc}")
-        except json.JSONDecodeError as exc:
-            _fail(f"invalid JSON: {exc}")
-        except proofs.ProofFormatError as exc:
-            _fail(f"bad proof file: {exc}")
-        # an AlgebraError comes only from a command that imported analysis
-        except getattr(sys.modules.get("mmv.analysis"), "AlgebraError", ()) as exc:
-            _fail(f"bad algebra: {exc}")
+        # click's own exits: usage errors, --help (an Exit) and interrupts
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except InputError as exc:
+            message = exc.prefix + str(exc)
         except OSError as exc:
-            _fail(exc)
-        except (KeyError, TypeError, ValueError) as exc:
-            _fail(exc)
+            message = str(exc)
+        except Exception as exc:
+            import traceback
+
+            click.echo(
+                f"{traceback.format_exc()}internal error: {type(exc).__name__}: {exc}",
+                err=True,
+            )
+            sys.exit(3)
+        click.echo(f"error: {message}", err=True)
+        sys.exit(2)
 
 
 @click.group(cls=_Main)
@@ -524,9 +540,9 @@ def _witness_entry(entry: object) -> tuple[tuple, int]:
     ):
         try:
             return tuple(core.parse_rational(v) for v in entry[0]), entry[1]
-        except ValueError:
+        except InputError:
             pass
-    _fail(f"witnesses entry {json.dumps(entry)} is not [[rational, ...], integer point]")
+    raise InputError(f"witnesses entry {json.dumps(entry)} is not [[rational, ...], integer point]")
 
 
 @algebra.command("fep")
@@ -548,21 +564,21 @@ def algebra_fep_command(
     data = _load_json(algebra_file)
     algebra_obj = analysis.algebra_from_json(data)
     if algebra_obj.carrier is None:
-        _fail("fep needs the functional form of an algebra")
+        raise InputError("fep needs the functional form of an algebra")
     carrier = set(algebra_obj.carrier)
     if element_texts:
         subset = []
         for text in element_texts:
             element = tuple(core.parse_rational(v.strip()) for v in text.split(","))
             if element not in carrier:
-                _fail(f"--element {text!r} is not an element of the algebra")
+                raise InputError(f"--element {text!r} is not an element of the algebra")
             subset.append(element)
     else:
         subset = list(algebra_obj.carrier)
     witnesses = analysis.canonical_witnesses(subset, algebra_obj.n)
     if isinstance(data, dict) and "witnesses" in data:
         if not isinstance(data["witnesses"], list):
-            _fail('"witnesses" must be a list of [[rational, ...], point] entries')
+            raise InputError('"witnesses" must be a list of [[rational, ...], point] entries')
         for entry in data["witnesses"]:
             element, point = _witness_entry(entry)
             if element in witnesses:

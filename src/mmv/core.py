@@ -27,6 +27,7 @@ from .syntax import (
     Dia,
     Formula,
     Impl,
+    InputError,
     Join,
     Meet,
     Not,
@@ -51,9 +52,9 @@ def parse_rational(text: str) -> Fraction:
     try:
         value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational {text!r}: {exc}") from None
+        raise InputError(f"bad rational {text!r}: {exc}") from None
     if not _ZERO <= value <= _ONE:
-        raise ValueError(f"rational {text!r} outside [0,1]")
+        raise InputError(f"rational {text!r} outside [0,1]")
     return value
 
 
@@ -237,7 +238,7 @@ def eval_in_power(
             try:
                 value = valuation[f.name]
             except KeyError:
-                raise ValueError(f"structure assigns no value to {f.name!r}") from None
+                raise InputError(f"structure assigns no value to {f.name!r}") from None
             if len(value) != n:
                 raise DimensionError(
                     f"value for {f.name!r} has length {len(value)}, expected {n}"

@@ -72,6 +72,7 @@ from .syntax import (
     Dia,
     Formula,
     Impl,
+    InputError,
     Join,
     Meet,
     Not,
@@ -104,7 +105,7 @@ def cell_size(m: int, n: int, nvars: int) -> int:
 def check_cell(m: int, n: int, nvars: int, cap: int) -> bool:
     """True when the cell is scanned in full, False when it is sampled.
 
-    Raises ValueError for a cell within the cap that has 2**63 or more
+    Raises InputError for a cell within the cap that has 2**63 or more
     assignments: its indices would wrap in int64 and the scan would cover
     the wrong grid.
     """
@@ -112,7 +113,7 @@ def check_cell(m: int, n: int, nvars: int, cap: int) -> bool:
     if total > cap:
         return False
     if total >= _INDEX_LIMIT:
-        raise ValueError(
+        raise InputError(
             f"cell m={m}, n={n} with {nvars} variables has {total} assignments; "
             f"an exhaustive scan needs fewer than 2**63 (lower the cap to sample it)"
         )
@@ -443,7 +444,7 @@ def scan_cell(
 
     "Holds" means value 1 at every world.  Scans the whole cell when its size
     is within the cap, otherwise samples `cap` assignments with the seed.
-    Returns the first hit in scan order.  Raises ValueError for a cell
+    Returns the first hit in scan order.  Raises InputError for a cell
     within the cap too large to index (see `check_cell`).
     """
     return scan_program(compile_claim(premises, target), m, n, cap, seed)

@@ -37,6 +37,7 @@ from .syntax import (
     Box,
     Formula,
     Impl,
+    InputError,
     Join,
     Meet,
     MetaVar,
@@ -56,8 +57,10 @@ ACCEPT_BOUNDED = "accept-bounded"
 REJECT = "reject"
 
 
-class ProofFormatError(ValueError):
+class ProofFormatError(InputError):
     """Malformed proof data (bad JSON shape, unparseable formula or citation)."""
+
+    prefix = "bad proof file: "
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +74,7 @@ def width_schema(k: int) -> Formula:
     Conclusion: the join of box(phi_i).  Both folded left to right.
     """
     if k < 1:
-        raise ValueError(f"width bound must be >= 1, got {k}")
+        raise InputError(f"width bound must be >= 1, got {k}")
     mvs = [MetaVar(f"phi{i}") for i in range(1, k + 2)]
     conjuncts = [
         Box(Join(mvs[i], mvs[j]))
@@ -551,7 +554,7 @@ def axiom_soundness_audit(
     Every cell (m, n) with m <= m_max, n <= n_max is enumerated exhaustively
     when it has at most `cap` assignments and sampled uniformly otherwise.
     Violations are re-verified through the exact scalar route before being
-    reported.  Raises ValueError before any work for a negative trial count
+    reported.  Raises InputError before any work for a negative trial count
     or a budget `search.SearchBudget` rejects, and before scanning any cell
     when one within the cap is too large to index (see
     `enumeration.check_cell`).  The distinct instances of all schemas go

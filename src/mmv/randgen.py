@@ -17,6 +17,7 @@ from .syntax import (
     Const,
     Dia,
     Formula,
+    InputError,
     MetaVar,
     Not,
     Var,
@@ -98,7 +99,7 @@ def random_valuation(
 def check_trials(trials: int, **bounds: int) -> None:
     """Reject a negative trial count, or any named bound below 1."""
     if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
+        raise InputError(f"trials must be >= 0, got {trials}")
     for name, value in bounds.items():
         if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+            raise InputError(f"{name} must be >= 1, got {value}")

@@ -50,7 +50,7 @@ from . import core, semantics
 from .core import MonadicElement
 from .randgen import check_trials, random_valuation
 from .semantics import SafeStructure
-from .syntax import Box, Formula, Impl, Join, Star, parse, print_formula, variables
+from .syntax import Box, Formula, Impl, InputError, Join, Star, parse, print_formula, variables
 
 
 def _import_lazily(name: str) -> types.ModuleType:
@@ -88,9 +88,9 @@ class SearchBudget:
 
     def __post_init__(self):
         if self.m_max < 1 or self.n_max < 1:
-            raise ValueError("m_max and n_max must be >= 1")
+            raise InputError("m_max and n_max must be >= 1")
         if self.valuation_cap < 1:
-            raise ValueError("valuation_cap must be >= 1")
+            raise InputError("valuation_cap must be >= 1")
 
 
 @dataclass(slots=True)
@@ -290,7 +290,7 @@ def refute(
 
     Returns the first verified countermodel in cell order, or an exhausted
     report; `scan_cells` does the scan, so results do not depend on jobs.
-    Raises ValueError before scanning any cell when one within the cap is
+    Raises InputError before scanning any cell when one within the cap is
     too large to index (see `enumeration.check_cell`).
     """
     premises = tuple(premises)
@@ -316,7 +316,7 @@ def refute_width_k(
 ) -> SearchReport:
     """Countermodel search restricted to structures with at most k worlds."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InputError("k must be >= 1")
     budget = replace(budget, n_max=min(budget.n_max, k))
     return refute(premises, conclusion, budget, jobs=jobs)
 

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping
 
 from . import core
 from .core import MonadicElement
-from .syntax import Formula
+from .syntax import Formula, InputError
 
 _ONE = Fraction(1)
 _ZERO = Fraction(0)
@@ -50,15 +50,15 @@ class SafeStructure:
 
     def __post_init__(self):
         if self.worlds < 1:
-            raise ValueError(f"need at least one world, got {self.worlds}")
+            raise InputError(f"need at least one world, got {self.worlds}")
         for name, values in self.valuation.items():
             if len(values) != self.worlds:
-                raise ValueError(
+                raise InputError(
                     f"variable {name!r} has {len(values)} values for {self.worlds} worlds"
                 )
             for value in values:
                 if not _ZERO <= value <= _ONE:
-                    raise ValueError(f"variable {name!r} value {value} outside [0,1]")
+                    raise InputError(f"variable {name!r} value {value} outside [0,1]")
 
 
 def evaluate(structure: SafeStructure, formula: Formula) -> MonadicElement:
@@ -108,16 +108,16 @@ def model_to_json(structure: SafeStructure) -> dict:
 def model_from_json(data: object) -> SafeStructure:
     """Build a structure from parsed JSON, validating shape and ranges."""
     if not isinstance(data, dict):
-        raise ValueError("model JSON must be an object")
+        raise InputError("model JSON must be an object")
     worlds = data.get("worlds")
     if not isinstance(worlds, int) or isinstance(worlds, bool):
-        raise ValueError('model JSON needs an integer "worlds" field')
+        raise InputError('model JSON needs an integer "worlds" field')
     valuation_data = data.get("valuation", {})
     if not isinstance(valuation_data, dict):
-        raise ValueError('"valuation" must map variable names to value lists')
+        raise InputError('"valuation" must map variable names to value lists')
     valuation: dict[str, MonadicElement] = {}
     for name, items in valuation_data.items():
         if not isinstance(items, list) or not all(isinstance(i, str) for i in items):
-            raise ValueError(f"values for {name!r} must be a list of rational strings")
+            raise InputError(f"values for {name!r} must be a list of rational strings")
         valuation[name] = core.parse_tuple(items)
     return SafeStructure(worlds=worlds, valuation=valuation)

@@ -22,6 +22,10 @@ Schemas (axiom shapes) are ordinary formula trees whose leaves are
 ``MetaVar`` nodes.  A metavariable may carry the ``modalized`` flag, in which
 case it only matches formulas whose truth value cannot depend on the world of
 evaluation: combinations of boxed/diamonded subformulas and constants.
+
+``InputError``, the base of ``ParseError``, is the one exception type for
+malformed input in every layer; it lives here because every layer imports
+this module.
 """
 
 from __future__ import annotations
@@ -31,8 +35,21 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 
-class ParseError(ValueError):
+class InputError(ValueError):
+    """Malformed input from outside the program: a file, an option, a formula.
+
+    Raised only where such data is first checked.  The command line reports
+    it as one line, `error: <prefix><message>`, and exits 2; each subclass
+    names its kind of input in `prefix`.
+    """
+
+    prefix = ""
+
+
+class ParseError(InputError):
     """Raised on malformed formula text; carries the character position."""
+
+    prefix = "cannot parse formula: "
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")

@@ -1,7 +1,7 @@
 """End-to-end tests of the command line interface.
 
 Exit code convention: 0 for the affirmative outcome, 1 for the negative
-outcome, 2 for malformed input.
+outcome, 2 for malformed input, 3 for an internal error.
 """
 
 from __future__ import annotations
@@ -17,7 +17,10 @@ import pytest
 from click.testing import CliRunner
 
 import mmv
+from mmv.analysis import AlgebraError
 from mmv.cli import main
+from mmv.proofs import ProofFormatError
+from mmv.syntax import InputError, ParseError
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -661,6 +664,61 @@ def test_algebra_validate_rejects_malformed_generators(runner, tmp_path, entry):
     )
 
 
+@pytest.mark.parametrize(
+    "key, value, printed",
+    [("m", 1.5, "1.5"), ("m", "2", '"2"'), ("m", True, "true"), ("n", 2.9, "2.9"),
+     ("n", None, "null")],
+)
+def test_algebra_validate_rejects_sizes_that_are_not_integers(
+    runner, tmp_path, key, value, printed
+):
+    data = {"form": "functional", "m": 1, "n": 2, "generators": [["1", "0"]], key: value}
+    bad = tmp_path / "alg.json"
+    bad.write_text(json.dumps(data))
+    for command in ("validate", "fep"):
+        result = invoke(runner, "algebra", command, str(bad))
+        assert result.exit_code == 2
+        assert result.output == (
+            f"error: bad algebra: bad functional algebra data: "
+            f"{key} must be an integer, got {printed}\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("impl",), [[True] * 4] * 4, "table entry True is not an element index"),
+        (("impl", 3, 1), True, "table entry True is not an element index"),
+        (("impl", 0, 0), False, "table entry False is not an element index"),
+        (("zero",), False, "table entry False is not an element index"),
+        (("exists",), [False, True, True, True], "table entry False is not an element index"),
+        (("exists", 1), True, "table entry True is not an element index"),
+        (("elements",), {"a": 0, "b": 1, "c": 2, "d": 3},
+         'bad tabular algebra data: elements must be a list, got {"a": 0, "b": 1, "c": 2, "d": 3}'),
+        (("elements",), None, "bad tabular algebra data: elements must be a list, got null"),
+        (("elements",), 5, "bad tabular algebra data: elements must be a list, got 5"),
+    ],
+    ids=["bool-impl", "bool-among-ints", "false-among-ints", "false-zero", "bool-exists",
+         "true-among-exists", "dict-elements", "null-elements", "int-elements"],
+)
+def test_algebra_validate_rejects_booleans_and_element_lists(
+    runner, tmp_path, path, value, message
+):
+    # numpy reads a JSON boolean as 0 or 1; a dict of elements used to load by its keys
+    data = json.loads((CORPUS / "algebras" / "identity-quantifier-product.json").read_text())
+    *parents, last = path
+    target = data
+    for step in parents:
+        target = target[step]
+    target[last] = value
+    bad = tmp_path / "alg.json"
+    bad.write_text(json.dumps(data))
+    for command in ("validate", "classify"):
+        result = invoke(runner, "algebra", command, str(bad))
+        assert result.exit_code == 2
+        assert result.output == f"error: bad algebra: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # the exit-2 boundary: every subcommand, nested groups included
 # ---------------------------------------------------------------------------
@@ -684,23 +742,81 @@ def _raiser(error):
 
 @pytest.mark.parametrize("args, target", _BOUNDARY_CASES)
 def test_engine_errors_are_not_input_errors(runner, monkeypatch, args, target):
-    monkeypatch.setattr(target, _raiser(RuntimeError("engine bug")))
-    result = runner.invoke(main, list(args))
-    assert result.exit_code == 1
-    assert isinstance(result.exception, RuntimeError)
-    assert "error:" not in result.output
+    # only an InputError is blamed on the input; any other exception is a bug
+    for error in (RuntimeError("engine bug"), ValueError("bad value"), KeyError("k"),
+                  TypeError("t")):
+        monkeypatch.setattr(target, _raiser(error))
+        result = runner.invoke(main, list(args))
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("Traceback (most recent call last):\n")
+        assert result.output.endswith(
+            f"internal error: {type(error).__name__}: {error}\n"
+        )
+        assert "error: " not in result.output.replace("internal error: ", "")
 
 
 @pytest.mark.parametrize("args, target", _BOUNDARY_CASES)
 @pytest.mark.parametrize(
     "error, printed",
-    [(ValueError("bad value"), "bad value"), (KeyError("k"), "'k'"), (TypeError("t"), "t")],
+    [
+        (InputError("bad value"), "bad value"),
+        (ProofFormatError("'k'"), "'k'"),
+        (AlgebraError("t"), "t"),
+        (ParseError("unexpected 'x'", 3), "unexpected 'x' (at position 3)"),
+    ],
 )
 def test_library_input_errors_exit_2(runner, monkeypatch, args, target, error, printed):
     monkeypatch.setattr(target, _raiser(error))
     result = invoke(runner, *args)
     assert result.exit_code == 2
-    assert result.output == f"error: {printed}\n"
+    assert result.output == f"error: {_PREFIXES[type(error)]}{printed}\n"
+
+
+_PREFIXES = {
+    InputError: "",
+    ParseError: "cannot parse formula: ",
+    ProofFormatError: "bad proof file: ",
+    AlgebraError: "bad algebra: ",
+}
+
+
+def test_input_error_family_carries_the_exit_2_prefixes():
+    assert {cls: cls.prefix for cls in _PREFIXES} == _PREFIXES
+    assert all(issubclass(cls, InputError) for cls in _PREFIXES)
+    assert issubclass(InputError, ValueError)
+
+
+@pytest.mark.parametrize(
+    "args", [("refute", "--help"), ("audit", "axioms", "--help"), ("algebra", "fep", "--help")]
+)
+def test_subcommand_help_exits_0(runner, args):
+    # --help raises click's Exit, a RuntimeError, which the boundary passes on
+    result = invoke(runner, *args)
+    assert result.exit_code == 0
+    assert result.output.startswith("Usage: ")
+    assert "error" not in result.output
+
+
+_ENGINE_BUG = """
+import sys
+import mmv.semantics
+from mmv.cli import main
+
+def evaluate(structure, formula):
+    raise RuntimeError("engine bug")
+
+mmv.semantics.evaluate = evaluate
+main(sys.argv[1:], prog_name="mmv")
+"""
+
+
+def test_internal_error_exits_3_in_a_fresh_process():
+    result = run_fresh("eval", "--model", MODEL, "--formula", "p", code=_ENGINE_BUG)
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr.startswith("Traceback (most recent call last):\n")
+    assert result.stderr.endswith("\ninternal error: RuntimeError: engine bug\n")
+    assert "\nRuntimeError: engine bug\n" in result.stderr
 
 
 def test_parse_errors_exit_2_at_the_boundary(runner):
