@@ -1031,7 +1031,8 @@ def algebra_from_json(data: Mapping, check: bool = True) -> FiniteMonadicAlgebra
     """Load an algebra from its functional or tabular JSON form.
 
     Functional algebras are regenerated from their generators, which makes
-    their tables valid by construction; tabular algebras run the full
+    their tables valid by construction; their n is at most
+    `core.MAX_WORLDS`, their m unbounded.  Tabular algebras run the full
     identity check unless `check` is false.
     """
     if not isinstance(data, Mapping):
@@ -1045,6 +1046,8 @@ def algebra_from_json(data: Mapping, check: bool = True) -> FiniteMonadicAlgebra
             raise AlgebraError(f"bad functional algebra data: {exc}") from exc
         if m < 1 or n < 1:
             raise AlgebraError("functional form needs m >= 1 and n >= 1")
+        if n > core.MAX_WORLDS:
+            raise AlgebraError(f"functional form needs n <= {core.MAX_WORLDS}, got {n}")
         for element in generators:
             if len(element) != n:
                 raise AlgebraError(

@@ -42,6 +42,12 @@ MonadicElement = tuple[Fraction, ...]
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# The most worlds a structure, and the most coordinates a functional algebra,
+# may have; the loaders reject more as malformed input.  A tuple or row of
+# this length takes well under a megabyte, while sizes far past it cannot be
+# allocated, and from 2**63 on Python cannot even index them.
+MAX_WORLDS = 1 << 16
+
 
 class DimensionError(ValueError):
     """Tuple operands of mismatched length."""

@@ -23,8 +23,22 @@ multisets (`multisets_clean`); `scan_cell` and `valid_in_cells` compile and
 call those.  Blocks are world-major: variable v of assignment a at world w
 sits at `grid[v, w, a]`, so a value is an (n, A) array whose rows are worlds
 (or a (1, A) array once it no longer depends on the world), and box/dia are
-n-1 elementwise min/max over the rows.  Values are int16 (int64 for chains
-too long for int16 to hold 2m).
+n-1 elementwise min/max over the rows.  Every intermediate value lies in
+-m .. 2m, so values are int8 while 2m fits in int8 (m <= 63), int16 while it
+fits in int16, and int64 beyond.
+
+The kernel allocates nothing per block.  `compile_claim` plans a scratch
+slot for every op that is not a variable or a constant: ops run in index
+order, root k is read (`_holds`) right after its steps, and a slot is handed
+to a later op only once the value in it has been read for the last time,
+never to an op that reads it.  Each slot is a byte buffer of one arena per
+process (`_ARENA`), grown to the largest block it has served and viewed as
+(n, A) or (1, A) arrays of the block's dtype; every op, fold and mask
+writes into those views with `out=`.  The arena keeps its buffers between
+scans, so their pages are faulted in once per process rather than once per
+scan: it holds width x n x `_CHUNK` x itemsize bytes for the widest program
+(`_Program.width` slots) and the largest n scanned, plus five rows of
+`_CHUNK` values and masks.
 
 Assignment order within a cell is descending lexicographic: variables in
 sorted name order, coordinates left to right, values from 1 down to 0.  Index
@@ -85,9 +99,9 @@ _CHUNK = 1 << 16
 # Exhaustive cells are indexed in int64, so they must have fewer assignments.
 _INDEX_LIMIT = 2**63
 # Decoded exhaustive chunks kept between scans.  The largest chunk an
-# exhaustive cell can have is 62 digits x 2**16 assignments x 2 bytes (8 MB),
-# the whole m, n, v <= 3 grid is 5 MB, and the row multisets the audits
-# scan at m, n, v <= 3 are under 1 MB.
+# exhaustive cell can have is 62 digits x 2**16 assignments x 1 byte (4 MB,
+# at m = 1), the whole m, n, v <= 3 grid is 2.6 MB, and the row multisets
+# the audits scan at m, n, v <= 3 are under 0.5 MB.
 _GRID_CACHE_BYTES = 16 << 20
 
 _VAR, _CONST, _NOT, _BOX, _DIA, _IMPL, _STAR, _OPLUS, _MEET, _JOIN = range(10)
@@ -131,18 +145,26 @@ class _Program:
     An op is (code, a, b): for a variable `a` is its slot in `names`, for a
     constant 0 or 1; otherwise `a` and `b` (None for unary ops) are the
     indices of the operands.  `steps[k]` lists, in order, the ops root k
-    needs that earlier roots do not.
+    needs that earlier roots do not.  Every other op writes into scratch
+    slot `slots[op]` of `width` (variables and constants have slot -1), and
+    `flat[op]` says its value does not depend on the world.
     """
 
     names: tuple[str, ...]
     ops: tuple[tuple[int, object, object], ...]
     roots: tuple[int, ...]
     steps: tuple[tuple[int, ...], ...]
+    slots: tuple[int, ...]
+    width: int
+    flat: tuple[bool, ...]
 
 
 def _compile(formulas: Sequence[Formula]) -> _Program:
     ops: list[tuple[int, object, object]] = []
     flat: list[bool] = []  # does the op's value not depend on the world?
+    # the last read of each op's value: by op j (j), or by root k's `_holds`
+    # right after its steps (-1 - k); reads are recorded in run order
+    last: list[int | None] = []
     interned: dict[tuple, int] = {}
     seen: dict[int, int] = {}  # id(node) -> op, so shared objects compile once
 
@@ -152,6 +174,11 @@ def _compile(formulas: Sequence[Formula]) -> _Program:
             index = interned[key] = len(ops)
             ops.append(key)
             flat.append(is_flat)
+            last.append(None)
+            if key[0] > _CONST:
+                last[key[1]] = index
+                if key[2] is not None:
+                    last[key[2]] = index
         return index
 
     def visit(f: Formula) -> int:
@@ -182,29 +209,124 @@ def _compile(formulas: Sequence[Formula]) -> _Program:
     # visiting root k interns exactly the ops it needs that earlier roots
     # did not, children first: those are its steps
     roots, steps = [], []
-    for f in formulas:
+    for k, f in enumerate(formulas):
         start = len(ops)
-        roots.append(visit(f))
-        steps.append(tuple(range(start, len(ops))))
+        root = visit(f)
+        roots.append(root)
+        steps.append(range(start, len(ops)))
+        last[root] = -1 - k
+    # `visit` refers to itself through its closure; breaking that cycle lets
+    # these tables go by reference counting instead of the cycle collector
+    visit = None
+    # one pass in run order: an op takes a free slot, then frees the slots
+    # of the operands it reads last, so it never shares one with them
+    slots = [-1] * len(ops)
+    free: list[int] = []
+    width = 0
+    for k, (root, run) in enumerate(zip(roots, steps)):
+        for index in run:
+            code, a, b = ops[index]
+            if code <= _CONST:
+                continue
+            if free:
+                slots[index] = free.pop()
+            else:
+                slots[index] = width
+                width += 1
+            if last[a] == index and slots[a] >= 0:
+                free.append(slots[a])
+            if b is not None and b != a and last[b] == index and slots[b] >= 0:
+                free.append(slots[b])
+        if last[root] == -1 - k and slots[root] >= 0:
+            free.append(slots[root])
     names = tuple(sorted({op[1] for op in ops if op[0] == _VAR}))
     slot = {name: i for i, name in enumerate(names)}
     ops = [(_VAR, slot[op[1]], None) if op[0] == _VAR else op for op in ops]
-    return _Program(names, tuple(ops), tuple(roots), tuple(steps))
+    return _Program(
+        names, tuple(ops), tuple(roots), tuple(tuple(run) for run in steps),
+        tuple(slots), width, tuple(flat),
+    )
 
 
-def _fold_rows(ufunc: np.ufunc, value: np.ndarray) -> np.ndarray:
-    """Combine the world rows of an (n, A) block into one (1, A) row."""
+class _Scratch:
+    """The arena's views for one block shape: `views[flat][slot]` is slot
+    `slot` as an (n, A) array, or as a (1, A) array when `flat`; `bottom`
+    and `top` are (1, A) rows of 0s and of ms, `row` a (1, A) row to fold
+    into, and `holds` and `mask` boolean (A,) masks."""
+
+    __slots__ = ("views", "bottom", "top", "row", "holds", "mask")
+
+
+class _Arena:
+    """Scratch memory the kernel writes into, kept for the life of the process.
+
+    Buffer s backs slot s of every program; `rows` backs the rows and masks
+    of `_Scratch`, which every block shape shares, so `bottom` and `top`
+    are filled again whenever the shape or m changes.  A buffer is replaced
+    by a larger one only when a block needs more bytes than it has.  Views
+    are cached for up to 256 block shapes (n, A, dtype).
+    """
+
+    def __init__(self):
+        self.buffers: list[np.ndarray] = []
+        self.rows = np.empty(0, dtype=np.uint8)
+        self._scratch: dict[tuple, _Scratch] = {}
+        self._filled: tuple | None = None  # the shape and m `rows` holds
+
+    def scratch(self, m: int, n: int, block: int, dtype: np.dtype, width: int) -> _Scratch:
+        """Views of the first `width` slots and of the rows for a block of n
+        worlds and `block` assignments, with `top` filled with m."""
+        key = (n, block, np.dtype(dtype))
+        scratch = self._scratch.get(key)
+        if scratch is None or len(scratch.views[0]) < width:
+            scratch = self._views(*key, width)
+        if self._filled != (key, m):
+            scratch.bottom.fill(0)
+            scratch.top.fill(m)
+            self._filled = (key, m)
+        return scratch
+
+    def _grow(self, buffer: np.ndarray, nbytes: int) -> np.ndarray:
+        """`buffer`, or a new one of `nbytes` bytes when it has fewer."""
+        if buffer.nbytes >= nbytes:
+            return buffer
+        self._scratch.clear()  # their views would keep the old buffer alive
+        self._filled = None
+        return np.empty(nbytes, dtype=np.uint8)
+
+    def _views(self, n: int, block: int, dtype: np.dtype, width: int) -> _Scratch:
+        size, line = n * block * dtype.itemsize, block * dtype.itemsize
+        self.buffers += [np.empty(0, dtype=np.uint8)] * (width - len(self.buffers))
+        self.buffers[:width] = [self._grow(buffer, size) for buffer in self.buffers[:width]]
+        self.rows = self._grow(self.rows, 3 * line + 2 * block)
+        if len(self._scratch) >= 256:
+            self._scratch.clear()
+        scratch = self._scratch[n, block, dtype] = _Scratch()
+        slots = [buffer[:size].view(dtype).reshape(n, block) for buffer in self.buffers[:width]]
+        scratch.views = (slots, [value[:1] for value in slots])
+        scratch.bottom, scratch.top, scratch.row = (
+            self.rows[i * line : (i + 1) * line].view(dtype).reshape(1, block) for i in range(3)
+        )
+        scratch.holds, scratch.mask = (
+            self.rows[3 * line + i * block : 3 * line + (i + 1) * block].view(np.bool_)
+            for i in range(2)
+        )
+        return scratch
+
+
+_ARENA = _Arena()
+
+
+def _fold_rows(ufunc: np.ufunc, value: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Combine the world rows of an (n, A) block into the (1, A) `out`; a
+    one-row value is copied, since `out` must outlive the value's slot."""
     if len(value) == 1:
-        return value
-    out = ufunc(value[0], value[1])
+        np.copyto(out, value)
+        return out
+    ufunc(value[0], value[1], out=out[0])
     for row in value[2:]:
-        ufunc(out, row, out=out)
-    return out[None]
-
-
-def _consts(m: int, block: int, dtype: type) -> tuple[np.ndarray, np.ndarray]:
-    """The (1, A) rows of 0s and of ms."""
-    return np.zeros((1, block), dtype=dtype), np.full((1, block), m, dtype=dtype)
+        ufunc(out[0], row, out=out[0])
+    return out
 
 
 def _run(
@@ -212,68 +334,76 @@ def _run(
     root: int,
     grid: Sequence[np.ndarray],
     m: int,
-    consts: tuple[np.ndarray, np.ndarray],
+    scratch: _Scratch,
     values: list,
 ) -> np.ndarray:
     """Evaluate root `root` on a block; `values` carries ops across roots.
 
     `grid[slot]` is the (n, A) block of the variable in that slot.  Every
-    op comes out as an (n, A) array, or (1, A) when it does not depend on
-    the world.  Clamping goes against the rows of 0s and ms, not against
-    scalars: numpy's min/max with a scalar operand are several times slower.
+    other op writes into its slot's view in `scratch`: (n, A), or (1, A)
+    when it does not depend on the world.  Clamping goes against the rows of
+    0s and ms, not against scalars: numpy's min/max with a scalar operand
+    are several times slower.
     """
-    ops = program.ops
-    bottom, top = consts
+    ops, slots, flat, views = program.ops, program.slots, program.flat, scratch.views
+    bottom, top = scratch.bottom, scratch.top
     for index in program.steps[root]:
         code, a, b = ops[index]
         if code == _VAR:
-            value = grid[a]
-        elif code == _CONST:
-            value = consts[a]
-        elif code == _NOT:
-            value = np.subtract(m, values[a])
+            values[index] = grid[a]
+            continue
+        if code == _CONST:
+            values[index] = top if a else bottom
+            continue
+        out = views[flat[index]][slots[index]]
+        if code == _NOT:
+            np.subtract(m, values[a], out=out)
         elif code == _BOX:
-            value = _fold_rows(np.minimum, values[a])
+            _fold_rows(np.minimum, values[a], out)
         elif code == _DIA:
-            value = _fold_rows(np.maximum, values[a])
+            _fold_rows(np.maximum, values[a], out)
         elif code == _IMPL:
-            value = np.subtract(values[b], values[a])
-            value += m
-            np.minimum(value, top, out=value)
+            np.subtract(values[b], values[a], out=out)
+            out += m
+            np.minimum(out, top, out=out)
         elif code == _STAR:
-            value = np.add(values[a], values[b])
-            value -= m
-            np.maximum(value, bottom, out=value)
+            np.add(values[a], values[b], out=out)
+            out -= m
+            np.maximum(out, bottom, out=out)
         elif code == _OPLUS:
-            value = np.add(values[a], values[b])
-            np.minimum(value, top, out=value)
+            np.add(values[a], values[b], out=out)
+            np.minimum(out, top, out=out)
         elif code == _MEET:
-            value = np.minimum(values[a], values[b])
+            np.minimum(values[a], values[b], out=out)
         else:
-            value = np.maximum(values[a], values[b])
-        values[index] = value
+            np.maximum(values[a], values[b], out=out)
+        values[index] = out
     return values[program.roots[root]]
 
 
-def _holds(value: np.ndarray, m: int) -> np.ndarray:
-    """Mask over the block: is the value 1 at every world?"""
-    return _fold_rows(np.minimum, value)[0] == m
+def _holds(value: np.ndarray, m: int, scratch: _Scratch, out: np.ndarray) -> np.ndarray:
+    """Mask over the block, written to `out`: is the value 1 at every world?"""
+    if len(value) > 1:
+        value = _fold_rows(np.minimum, value, scratch.row)
+    return np.equal(value[0], m, out=out)
 
 
 def eval_bulk(formula: Formula, arrays: Mapping[str, np.ndarray], m: int) -> np.ndarray:
     """Evaluate over a block of assignments in scaled-integer form.
 
     `arrays` maps each variable to an (A, n) integer array of scaled values.
-    The result broadcasts against (A, n); constants come back 0-dimensional.
+    The result, a new array, broadcasts against (A, n); constants come back
+    0-dimensional.
     """
     program = _compile([formula])
     try:
         grid = [np.asarray(arrays[name]).T for name in program.names]
     except KeyError as exc:
         raise ValueError(f"no assignment block for variable {exc.args[0]!r}") from None
-    consts = _consts(m, grid[0].shape[-1] if grid else 1, np.result_type(np.int32, *grid))
-    value = _run(program, 0, grid, m, consts, [None] * len(program.ops))
-    return value.T if grid else value.reshape(())
+    n, block = np.broadcast_shapes(*(g.shape for g in grid)) if grid else (1, 1)
+    scratch = _ARENA.scratch(m, n, block, np.result_type(np.int32, *grid), program.width)
+    value = _run(program, 0, grid, m, scratch, [None] * len(program.ops))
+    return value.T.copy() if grid else value.reshape(()).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +411,12 @@ def eval_bulk(formula: Formula, arrays: Mapping[str, np.ndarray], m: int) -> np.
 
 
 def _dtype(m: int) -> type:
-    """int16 when it holds every intermediate value, -m .. 2m; int64 otherwise."""
-    return np.int16 if 2 * m <= np.iinfo(np.int16).max else np.int64
+    """The narrowest of int8, int16 and int64 that holds every intermediate
+    value, -m .. 2m."""
+    for dtype in (np.int8, np.int16):
+        if 2 * m <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
 
 
 def _digits(m: int, count: int, indices: np.ndarray) -> np.ndarray:
@@ -387,24 +521,26 @@ def _first_failure(program: _Program, grid: np.ndarray, m: int, values: list) ->
     last (the premises) holds at every world and the last root (the target)
     fails at some world, or None.
 
-    `values` is one list per scan, one slot per op, which `_run` overwrites
-    block after block.  A block's arrays are then freed only as the next
-    block's replace them, so the allocator does not hand their pages back
-    to the system and fault them in again for every block.
+    `values` is one list per scan, one entry per op, which `_run` overwrites
+    block after block with views of the grid and of the arena: no array is
+    allocated per block.
     """
     premises = len(program.roots) - 1
-    consts = _consts(m, grid.shape[-1], grid.dtype)
+    scratch = _ARENA.scratch(m, grid.shape[1], grid.shape[-1], grid.dtype, program.width)
     mask = None  # where every premise so far holds
     for k in range(premises):
-        holds = _holds(_run(program, k, grid, m, consts, values), m)
-        mask = holds if mask is None else np.logical_and(mask, holds, out=mask)
+        value = _run(program, k, grid, m, scratch, values)
+        if mask is None:
+            mask = _holds(value, m, scratch, scratch.mask)
+        else:
+            np.logical_and(mask, _holds(value, m, scratch, scratch.holds), out=mask)
         if not mask.any():
             return None
-    holds = _holds(_run(program, premises, grid, m, consts, values), m)
+    holds = _holds(_run(program, premises, grid, m, scratch, values), m, scratch, scratch.holds)
     if mask is None:
         # premise-free blocks are mostly clean, and one test settles those
         return None if holds.all() else int(np.argmin(holds))
-    mask &= ~holds
+    np.greater(mask, holds, out=mask)  # and the target fails
     return int(np.argmax(mask)) if mask.any() else None
 
 

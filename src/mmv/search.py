@@ -226,10 +226,12 @@ def scan_cells(
     seed_base: tuple,
     jobs: int = 1,
     settle_first: bool = False,
+    program: enumeration._Program | None = None,
 ) -> tuple[int, int, tuple | None]:
     """Scan the cells in the order given up to the first verified hit.
 
-    The claim is compiled once (`enumeration.compile_claim`) for every cell.
+    The claim is compiled once (`enumeration.compile_claim`) for every cell,
+    unless the caller passes the program it compiled.
     Every cell passes `enumeration.check_cell` before any is scanned; cell
     (m, n) is seeded with (*seed_base, m, n), and the first hit is
     re-verified by `_verify_countermodel`.  The cells go through `fan_out`,
@@ -241,7 +243,8 @@ def scan_cells(
     sampled one on; it runs, when it pays, once the cells before those are
     scanned without a hit.  Either way the result is the same.
     """
-    program = enumeration.compile_claim(premises, conclusion)
+    if program is None:
+        program = enumeration.compile_claim(premises, conclusion)
     nvars = len(program.names)
     exhaustive = [enumeration.check_cell(m, n, nvars, cap) for m, n in cells]
 
@@ -294,10 +297,10 @@ def refute(
     too large to index (see `enumeration.check_cell`).
     """
     premises = tuple(premises)
-    nvars = len(set().union(*(variables(f) for f in (*premises, conclusion))))
-    cells = _cells(budget, nvars)
+    program = enumeration.compile_claim(premises, conclusion)
+    cells = _cells(budget, len(program.names))
     checked, visited, hit = scan_cells(
-        premises, conclusion, cells, budget.valuation_cap, (budget.seed,), jobs
+        premises, conclusion, cells, budget.valuation_cap, (budget.seed,), jobs, program=program
     )
     if hit is None:
         return SearchReport("exhausted", budget.seed, cells, checked, caveat=EXHAUSTED_CAVEAT)

@@ -42,7 +42,7 @@ class SafeStructure:
     """Finitely many worlds plus a per-world rational valuation.
 
     `valuation` maps variable names to tuples of length `worlds`, one value
-    per world, each in [0,1].
+    per world, each in [0,1].  `worlds` is at most `core.MAX_WORLDS`.
     """
 
     worlds: int
@@ -51,6 +51,8 @@ class SafeStructure:
     def __post_init__(self):
         if self.worlds < 1:
             raise InputError(f"need at least one world, got {self.worlds}")
+        if self.worlds > core.MAX_WORLDS:
+            raise InputError(f"at most {core.MAX_WORLDS} worlds are supported, got {self.worlds}")
         for name, values in self.valuation.items():
             if len(values) != self.worlds:
                 raise InputError(

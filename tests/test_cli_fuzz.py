@@ -6,7 +6,8 @@ files, proofs, functional and tabular algebras, the `witnesses` key and
 `--element` of `algebra fep`, and files that are not UTF-8.  The strategies
 start from the corpus files and the malformed cases that tests/test_cli.py
 pins, and mutate them: a value replaced by another JSON value, an entry
-dropped, a byte sequence that is not UTF-8 spliced in.  Runs are
+dropped, a byte sequence that is not UTF-8 spliced in.  World counts and
+functional arities are also drawn at and far past their ceiling.  Runs are
 derandomized, so every run draws the same inputs.
 """
 
@@ -21,6 +22,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from mmv.cli import main
+from mmv.core import MAX_WORLDS
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -39,7 +41,7 @@ def _corpus(*parts: str) -> object:
     return json.loads(CORPUS.joinpath(*parts).read_text())
 
 
-def _run(content: str | bytes, *args: str) -> None:
+def _invoke(content: str | bytes, *args: str):
     """Write `content` to a file, run `mmv args` with FILE standing for its path."""
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "input"
@@ -47,8 +49,11 @@ def _run(content: str | bytes, *args: str) -> None:
             content = content.encode("utf-8")
         path.write_bytes(content)
         argv = [str(path) if arg == "FILE" else arg for arg in args]
-        result = CliRunner().invoke(main, argv)
-    _assert_clean_exit(result)
+        return CliRunner().invoke(main, argv)
+
+
+def _run(content: str | bytes, *args: str) -> None:
+    _assert_clean_exit(_invoke(content, *args))
 
 
 def _assert_clean_exit(result) -> None:
@@ -231,6 +236,38 @@ def test_fuzzed_elements(elements):
         main, ["algebra", "fep", BOOLEAN_SQUARE, *(f"--element={e}" for e in elements)]
     )
     _assert_clean_exit(result)
+
+
+# sizes one past the ceiling and past what Python can index
+_HUGE_SIZES = st.one_of(
+    st.sampled_from([MAX_WORLDS + 1, 2**31, 2**63, 2**64, 10**20, 10**400]),
+    st.integers(MAX_WORLDS + 1, 2**80),
+)
+
+
+@settings(_SETTINGS, max_examples=30)
+@given(size=st.just(MAX_WORLDS) | _HUGE_SIZES, command=st.sampled_from(["eval", "model-check"]),
+       formula=st.sampled_from(["1", "<>1 -> 0", "[]p"]))
+@example(size=10**20, command="eval", formula="1")
+def test_huge_world_counts(size, command, formula):
+    model = json.dumps({"worlds": size, "valuation": {}})
+    result = _invoke(model, command, "--model", "FILE", "--formula", formula)
+    _assert_clean_exit(result)
+    if size > MAX_WORLDS:
+        assert result.exit_code == 2 and "worlds" in result.output
+
+
+@settings(_SETTINGS, max_examples=30)
+@given(size=_HUGE_SIZES,
+       command=st.sampled_from(["validate", "classify", "radical", "represent", "fep"]))
+@example(size=10**20, command="validate")
+@example(size=MAX_WORLDS, command="classify")
+def test_huge_functional_arity(size, command):
+    algebra = json.dumps({"form": "functional", "m": 1, "n": size, "generators": []})
+    result = _invoke(algebra, "algebra", command, "FILE")
+    _assert_clean_exit(result)
+    if size > MAX_WORLDS:
+        assert result.exit_code == 2 and f"n <= {MAX_WORLDS}" in result.output
 
 
 _FILE_KINDS = {

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction as F
 from math import comb
 
@@ -100,13 +101,13 @@ def test_cached_grids_are_read_only_and_shared_safely():
 
 
 def test_grid_cache_stays_within_its_byte_bound():
-    cache = enumeration._GridCache(max_bytes=2500)
+    cache = enumeration._GridCache(max_bytes=1250)
     for m in (1, 2, 3):
         grid = cache.get(m, 2, 2, 0, cell_size(m, 2, 2))
         assert cache.nbytes == sum(g.nbytes for g in cache._chunks.values())
-        assert cache.nbytes <= 2500 or len(cache._chunks) == 1
+        assert cache.nbytes <= 1250 or len(cache._chunks) == 1
         assert grid is cache.get(m, 2, 2, 0, cell_size(m, 2, 2))
-    # 16, 81 and 256 assignments x 4 digits x 2 bytes: the last grid evicts both
+    # 16, 81 and 256 assignments x 4 digits x 1 byte: the last grid evicts both
     assert list(cache._chunks) == [(3, 2, 2, 0, 256)]
 
 
@@ -188,6 +189,62 @@ def test_int64_grids_decode_hits_like_int16_grids():
     }
 
 
+def test_dtype_is_the_narrowest_that_holds_minus_m_to_2m():
+    assert enumeration._dtype(63) is np.int8
+    assert enumeration._dtype(64) is np.int16
+    assert enumeration._dtype(16383) is np.int16
+    assert enumeration._dtype(16384) is np.int64
+
+
+def _scalar_sample(premises, target, m, n, cap, seed):
+    """Reference for a sampled cell: the int32 draws of the seed stream, in
+    sorted name order and blocks of `_CHUNK`, evaluated with exact Fractions."""
+    names = sorted(set().union(*(variables(f) for f in (*premises, target))))
+    rng = np.random.default_rng(seed)
+    checked = 0
+    for start in range(0, cap, enumeration._CHUNK):
+        block = min(enumeration._CHUNK, cap - start)
+        draws = [rng.integers(0, m + 1, size=(block, n), dtype=np.int32) for _ in names]
+        for row in range(block):
+            checked += 1
+            valuation = {
+                name: tuple(F(int(x), m) for x in draw[row]) for name, draw in zip(names, draws)
+            }
+            holds = all(
+                all(v == 1 for v in core.eval_in_power(p, valuation, n)) for p in premises
+            )
+            if holds and any(v != 1 for v in core.eval_in_power(target, valuation, n)):
+                return True, valuation, checked
+    return False, None, checked
+
+
+# Claims whose ops reach -m (star) and 2m (impl, oplus) on the way.
+_EXTREME_CLAIMS = [
+    ((), "(p -> q) * (q -> p)"),
+    ((), "p (+) q"),
+    (("(p -> q) * (q -> p)",), "p (+) q"),
+    ((), "p * q -> p (+) q"),
+    (("<>(p -> q) * <>(q -> p)",), "[](p (+) q) -> []p"),
+]
+
+
+@pytest.mark.parametrize("m", (63, 64))
+def test_scans_either_side_of_the_int8_bound_match_the_scalar_route(m):
+    # m = 63 runs in int8, where 2m = 126 just fits; m = 64 needs int16
+    found = 0
+    for premises, target in _EXTREME_CLAIMS:
+        premises, target = [parse(text) for text in premises], parse(target)
+        got = scan_cell(premises, target, m, 1, cap=10**6, seed=0)
+        assert got.exhaustive
+        assert (got.found, got.valuation, got.checked) == _scalar_scan(premises, target, m, 1)
+        sampled = scan_cell(premises, target, m, 2, cap=300, seed=m)
+        assert not sampled.exhaustive
+        expected = _scalar_sample(premises, target, m, 2, 300, m)
+        assert (sampled.found, sampled.valuation, sampled.checked) == expected
+        found += sampled.found
+    assert 0 < found < len(_EXTREME_CLAIMS)
+
+
 def _reachable(ops, root):
     found, stack = set(), [root]
     while stack:
@@ -231,6 +288,103 @@ def test_steps_are_the_ops_each_root_adds(seed):
         for index, (code, a, b) in enumerate(program.ops):
             if code > enumeration._CONST:
                 assert all(c < index for c in (a, b) if c is not None)
+
+
+def _replay_plan(program):
+    """Run a program's slot plan op by op: every op reads its operands from
+    slots that still hold them and writes to a slot neither of them is in,
+    and every root is still in its slot when it is read."""
+    leaf = [code <= enumeration._CONST for code, _, _ in program.ops]
+    held = {}  # slot -> the op whose value it holds
+    for root, steps in zip(program.roots, program.steps):
+        for index in steps:
+            if leaf[index]:
+                assert program.slots[index] == -1
+                continue
+            _, a, b = program.ops[index]
+            operands = [c for c in (a, b) if c is not None and not leaf[c]]
+            for c in operands:
+                assert held[program.slots[c]] == c
+            assert program.slots[index] not in {program.slots[c] for c in operands}
+            held[program.slots[index]] = index
+        if not leaf[root]:
+            assert held[program.slots[root]] == root
+    assert program.width == max(program.slots, default=-1) + 1
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_slot_plans_keep_every_value_until_its_last_read(seed):
+    shared = 0
+    for formulas in _claims(seed):
+        program = enumeration._compile(formulas)
+        _replay_plan(program)
+        used = [s for s in program.slots if s >= 0]
+        shared += len(used) > len(set(used))
+    assert shared  # plans do hand slots on
+
+
+def test_a_deep_chain_needs_few_slots():
+    formula = parse(" * ".join(["p"] * 201))
+    program = enumeration._compile([formula])
+    assert len(program.ops) == 201 and program.width <= 3
+    _replay_plan(program)
+    got = eval_bulk(formula, {"p": np.array([[0], [1], [2], [3]])}, 3)
+    assert got.tolist() == [[0], [0], [0], [3]]
+
+
+@pytest.mark.parametrize("text", ["<>(p * q) * (p (+) q)", "[](p * q) -> (q -> p)"])
+def test_box_and_dia_of_one_world_copy_into_their_own_slot(text):
+    # at n = 1 a box or dia has one row to fold; the plan hands its
+    # operand's slot to a later op while the box or dia is still to be read
+    formula = parse(text)
+    program = enumeration._compile([formula])
+    modal = next(i for i, op in enumerate(program.ops) if op[0] in (enumeration._BOX, enumeration._DIA))
+    operand = program.ops[modal][1]
+    assert program.slots[operand] in program.slots[modal + 1 :]
+    m = 3
+    pairs = [(p, q) for p in range(m + 1) for q in range(m + 1)]
+    got = eval_bulk(formula, {"p": np.array([[p] for p, _ in pairs]),
+                              "q": np.array([[q] for _, q in pairs])}, m)
+    for (p, q), row in zip(pairs, got):
+        exact = core.eval_in_power(formula, {"p": (F(p, m),), "q": (F(q, m),)}, 1)
+        assert tuple(F(int(x), m) for x in row) == exact
+    for n in (1, 2):
+        result = scan_cell([], formula, m, n, cap=10**4, seed=0)
+        assert (result.found, result.valuation, result.checked) == _scalar_scan([], formula, m, n)
+
+
+def test_eval_bulk_results_outlive_the_next_call():
+    arrays = {"p": np.array([[0, 1], [2, 2]]), "q": np.array([[2, 0], [1, 2]])}
+    first = eval_bulk(parse("p * q"), arrays, 2)
+    kept = first.copy()
+    second = eval_bulk(parse("p (+) q"), arrays, 2)
+    assert np.array_equal(first, kept) and not np.shares_memory(first, second)
+    constant = eval_bulk(parse("1 -> 0"), {}, 2)
+    assert constant.shape == () and int(constant) == 0
+    assert int(eval_bulk(parse("~0"), {}, 2)) == 2 and int(constant) == 0
+
+
+def test_repeated_scans_allocate_no_arena_buffer():
+    # scratch pages stay with the process: once warm, scanning the same
+    # cell again allocates no buffer and no block-sized array, so it faults
+    # nothing in
+    arena = enumeration._ARENA
+    targets = [parse("[](p -> q) -> ([]p -> []r \\/ []q)"), parse("p * q * r -> r")]
+    for target in targets:
+        scan_cell([], target, 3, 3, cap=10**6, seed=0)
+    buffers = [arena.rows, *arena.buffers]
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            for target in targets:
+                result = scan_cell([], target, 3, 3, cap=10**6, seed=0)
+                assert not result.found and result.checked == cell_size(3, 3, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(a is b for a, b in zip([arena.rows, *arena.buffers], buffers, strict=True))
+    # one (n, A) int8 value of a full chunk is 3 x 2**16 bytes
+    assert peak < 2**16
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -421,7 +575,7 @@ def test_multiset_cost_counts_what_valid_in_cells_scans(text, m_max, n_max, monk
 
 
 def test_multiset_cost_at_the_audit_bounds():
-    # 6.8 MB of int16 grids at m_max = 4 fit the 16 MB cache; 37 MB at 5 do not
+    # 3.4 MB of int8 grids at m_max = 4 fit the 16 MiB cache; 18.7 MB at 5 do not
     assert enumeration.multiset_cost(4, 3, 3) == (comb(66, 3) + comb(127, 3), True)
     assert enumeration.multiset_cost(5, 3, 3) == (
         comb(66, 3) + comb(127, 3) + comb(218, 3),
