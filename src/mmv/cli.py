@@ -12,11 +12,17 @@ reports its own usage errors (also exit 2).  Any other exception is a bug
 in the workbench, never blamed on the input: stderr gets its traceback and
 a last line `internal error: <type>: <message>`, and the exit code is 3.
 
-Each command imports only the layers it runs.  numpy comes with the grid
-scans of `refute` and `audit axioms` (`enumeration`, loaded at the first scan)
-and with the algebra tables (`analysis`, imported inside the `algebra`
-commands); `eval`, `model-check`, `prove`, `audit rules` and `audit boxinf`
-start without it.
+Each command imports only the layers it runs.  This module loads `core` and
+`syntax`; a command imports the rest in its body:
+
+    eval, model-check          semantics
+    refute, audit boxinf       search (with semantics and randgen)
+    prove, audit axioms/rules  proofs (with search, semantics and randgen)
+    algebra ...                analysis
+
+numpy comes with the grid scans of `refute` and `audit axioms` (`enumeration`,
+which `search` loads at the first scan) and with the algebra tables
+(`analysis`); `--help` and `--version` load none of these layers.
 """
 
 from __future__ import annotations
@@ -27,11 +33,15 @@ from typing import TYPE_CHECKING
 
 import click
 
-from . import __version__, core, proofs, search, semantics
+from . import __version__, core
 from .syntax import Formula, InputError, ParseError, parse, print_formula
 
 if TYPE_CHECKING:
     from . import analysis
+
+# `proofs.DERIVED_RULES`, written out so that `--help` need not load `proofs`;
+# a test pins the two together
+_DERIVED_RULES = ("prelinearity", "disjunction-hypothesis", "disjunction-conclusion")
 
 
 def _read_text(path: str) -> str:
@@ -136,6 +146,8 @@ def main() -> None:
 @_json_option
 def eval_command(model_file: str, formula_text: str, as_json: bool) -> None:
     """Evaluate a formula over a finite structure, world by world."""
+    from . import semantics
+
     structure = semantics.model_from_json(_load_json(model_file))
     formula = parse(formula_text)
     values = semantics.evaluate(structure, formula)
@@ -164,6 +176,8 @@ def model_check_command(
     Exit 0 when the structure is consistent with the claim, 1 when it
     refutes the claim or is not a model of the premises.
     """
+    from . import semantics
+
     structure = semantics.model_from_json(_load_json(model_file))
     premises = _load_gamma(gamma_file)
     formula = parse(formula_text)
@@ -205,6 +219,8 @@ def refute_command(
 
     Exit 0 when a countermodel is found, 1 when the budget is exhausted.
     """
+    from . import search
+
     premises = _load_gamma(gamma_file)
     conclusion = parse(formula_text)
     budget = search.SearchBudget(m_max=m_max, n_max=n_max, valuation_cap=cap, seed=seed)
@@ -251,6 +267,8 @@ def prove_command(
 
     Exit 0 for Accept or Accept-Bounded, 1 for Reject.
     """
+    from . import proofs
+
     proof = proofs.proof_from_json(_load_json(proof_file))
     verdict = proofs.check_proof(proof, proofs.axiom_table(width=width), boxinf_bound)
     if as_json:
@@ -290,6 +308,8 @@ def audit_axioms_command(
     seed: int, jobs: int, as_json: bool,
 ) -> None:
     """Check random axiom instances over full valuation grids.  Exit 1 on any violation."""
+    from . import proofs
+
     report = proofs.axiom_soundness_audit(
         m_max=m_max, n_max=n_max, trials=trials, cap=cap, seed=seed,
         max_depth=max_depth, jobs=jobs,
@@ -315,7 +335,7 @@ def audit_axioms_command(
 
 @audit.command("rules")
 @click.option("--rule", "rule_name",
-              type=click.Choice(("all",) + proofs.DERIVED_RULES),
+              type=click.Choice(("all",) + _DERIVED_RULES),
               default="all", show_default=True)
 @click.option("--trials", type=int, default=500, show_default=True)
 @click.option("--m-max", type=int, default=3, show_default=True)
@@ -326,6 +346,8 @@ def audit_rules_command(
     rule_name: str, trials: int, m_max: int, n_max: int, seed: int, as_json: bool
 ) -> None:
     """Check the one-structure facts behind admissible rules.  Exit 1 on any violation."""
+    from . import proofs
+
     names = proofs.DERIVED_RULES if rule_name == "all" else (rule_name,)
     reports = [
         proofs.derived_rule_audit(
@@ -361,6 +383,8 @@ def audit_boxinf_command(
     Gaps (structures the bounded premises cannot decide) are reported but are
     not failures; exit 1 only on a genuine violation.
     """
+    from . import search
+
     report = search.boxinf_soundness_probe(
         bound=bound, trials=trials, seed=seed, m_max=m_max, n_max=n_max
     )

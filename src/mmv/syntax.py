@@ -23,6 +23,13 @@ Schemas (axiom shapes) are ordinary formula trees whose leaves are
 case it only matches formulas whose truth value cannot depend on the world of
 evaluation: combinations of boxed/diamonded subformulas and constants.
 
+Nodes are immutable ``__slots__`` objects.  Each stores ``hash(fields)``
+when it is built, so hashing a formula never walks it.  A pickle rebuilds a
+node through its constructor and never carries the stored hash, because
+``str`` hashes differ between processes (``--jobs`` workers unpickle
+formulas).  ``subformulas`` and ``variables`` keep their own stacks and take
+formulas of any depth.
+
 ``InputError``, the base of ``ParseError``, is the one exception type for
 malformed input in every layer; it lives here because every layer imports
 this module.
@@ -31,7 +38,6 @@ this module.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 
@@ -56,73 +62,151 @@ class ParseError(InputError):
         self.position = position
 
 
-@dataclass(frozen=True, slots=True)
 class Formula:
-    """Base class for formula nodes.  Instances are immutable and hashable."""
+    """Base class for formula nodes.  Instances are immutable and hashable.
+
+    A node keeps its fields in the slots that `__match_args__` names.  Nodes
+    are equal when they are of the same class with equal fields.
+    """
+
+    __slots__ = ("_hash",)
+    __match_args__: tuple[str, ...] = ()
+
+    def __init__(self) -> None:
+        _set_hash(self, hash(()))
+
+    def _fields(self) -> tuple:
+        return ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: formulas are immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}: formulas are immutable")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self._hash == other._hash and self._fields() == other._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        # rebuilt by the constructor: `str` hashes differ between processes
+        return type(self), self._fields()
 
 
+class _Unary(Formula):
+    __slots__ = ("arg",)
+    __match_args__ = ("arg",)
 
-@dataclass(frozen=True, slots=True)
+    def __init__(self, arg: Formula) -> None:
+        _set_arg(self, arg)
+        _set_hash(self, hash((arg,)))
+
+    def _fields(self) -> tuple:
+        return (self.arg,)
+
+
+class _Binary(Formula):
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula) -> None:
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_hash(self, hash((left, right)))
+
+    def _fields(self) -> tuple:
+        return (self.left, self.right)
+
+
 class Var(Formula):
-    name: str
+    __slots__ = ("name",)
+    __match_args__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set_name(self, name)
+        _set_hash(self, hash((name,)))
+
+    def _fields(self) -> tuple:
+        return (self.name,)
 
 
-@dataclass(frozen=True, slots=True)
 class Const(Formula):
-    value: int  # 0 or 1
+    __slots__ = ("value",)
+    __match_args__ = ("value",)
+
+    def __init__(self, value: int) -> None:  # 0 or 1
+        _set_value(self, value)
+        _set_hash(self, hash((value,)))
+
+    def _fields(self) -> tuple:
+        return (self.value,)
 
 
-@dataclass(frozen=True, slots=True)
 class MetaVar(Formula):
     """Schema placeholder.  Only valid inside patterns, never in parsed text."""
 
-    name: str
-    modalized: bool = False
+    __slots__ = ("name", "modalized")
+    __match_args__ = ("name", "modalized")
+
+    def __init__(self, name: str, modalized: bool = False) -> None:
+        _set_meta_name(self, name)
+        _set_modalized(self, modalized)
+        _set_hash(self, hash((name, modalized)))
+
+    def _fields(self) -> tuple:
+        return (self.name, self.modalized)
 
 
-@dataclass(frozen=True, slots=True)
-class Not(Formula):
-    arg: Formula
+# Each slot's own setter: the constructors' way past `Formula.__setattr__`,
+# and cheaper than `object.__setattr__`.
+_set_hash = Formula._hash.__set__
+_set_arg = _Unary.arg.__set__
+_set_left = _Binary.left.__set__
+_set_right = _Binary.right.__set__
+_set_name = Var.name.__set__
+_set_value = Const.value.__set__
+_set_meta_name = MetaVar.name.__set__
+_set_modalized = MetaVar.modalized.__set__
 
 
-@dataclass(frozen=True, slots=True)
-class Box(Formula):
-    arg: Formula
+class Not(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Dia(Formula):
-    arg: Formula
+class Box(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Impl(Formula):
-    left: Formula
-    right: Formula
+class Dia(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Star(Formula):
-    left: Formula
-    right: Formula
+class Impl(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Oplus(Formula):
-    left: Formula
-    right: Formula
+class Star(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Meet(Formula):
-    left: Formula
-    right: Formula
+class Oplus(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Join(Formula):
-    left: Formula
-    right: Formula
+class Meet(_Binary):
+    __slots__ = ()
+
+
+class Join(_Binary):
+    __slots__ = ()
 
 
 ZERO = Const(0)
@@ -327,18 +411,44 @@ def print_formula(formula: Formula) -> str:
 
 
 def subformulas(formula: Formula) -> Iterator[Formula]:
-    """Yield every node of the tree, children before parents."""
-    if isinstance(formula, BINARY_TYPES):
-        yield from subformulas(formula.left)
-        yield from subformulas(formula.right)
-    elif isinstance(formula, UNARY_TYPES):
-        yield from subformulas(formula.arg)
-    yield formula
+    """Yield every node of the tree, children before parents, the root last.
+
+    A subtree that occurs twice is yielded twice.  The walk keeps its own
+    stack, so it handles formulas of any depth.
+    """
+    stack: list[tuple[Formula, bool]] = [(formula, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            yield node
+        elif isinstance(node, _Binary):
+            stack += ((node, True), (node.right, False), (node.left, False))
+        elif isinstance(node, _Unary):
+            stack += ((node, True), (node.arg, False))
+        else:
+            yield node
 
 
 def variables(formula: Formula) -> list[str]:
-    """Sorted list of the variable names occurring in the formula."""
-    names = {node.name for node in subformulas(formula) if isinstance(node, Var)}
+    """Sorted list of the variable names occurring in the formula.
+
+    Each distinct node object is visited once, so a subtree shared by
+    substitution costs one walk.
+    """
+    names = set()
+    seen = set()
+    stack = [formula]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, _Binary):
+            stack += (node.left, node.right)
+        elif isinstance(node, _Unary):
+            stack.append(node.arg)
+        elif isinstance(node, Var):
+            names.add(node.name)
     return sorted(names)
 
 

@@ -848,23 +848,29 @@ try:
     main.main(sys.argv[1:], prog_name="mmv")
 except SystemExit as exit:
     code = exit.code
-layers = ("numpy", "mmv.analysis", "mmv.enumeration")
+layers = ("numpy", "mmv.analysis", "mmv.enumeration", "mmv.proofs", "mmv.search",
+          "mmv.randgen", "mmv.semantics")
 ran = [name for name in layers if type(sys.modules.get(name)) is types.ModuleType]
 print(json.dumps({"exit": code, "ran": ran}), file=sys.stderr)
 """
 
 _ALGEBRAS = CORPUS / "algebras"
+_SEARCH = ["mmv.search", "mmv.randgen", "mmv.semantics"]
+_PROOFS = ["mmv.proofs", *_SEARCH]
 _LAYER_CASES = [
-    (("eval", "--model", MODEL, "--formula", "[]p"), []),
-    (("model-check", "--model", MODEL, "--formula", "<>p"), []),
-    (("prove", str(CORPUS / "proofs" / "dia-from-p.json")), []),
-    (("prove", str(CORPUS / "proofs" / "boxinf-bounded.json")), []),
-    (("audit", "rules", "--rule", "prelinearity"), []),
-    (("audit", "boxinf", "--trials", "1000"), []),
+    (("eval", "--model", MODEL, "--formula", "[]p"), ["mmv.semantics"]),
+    (("model-check", "--model", MODEL, "--formula", "<>p"), ["mmv.semantics"]),
+    (("prove", str(CORPUS / "proofs" / "dia-from-p.json")), _PROOFS),
+    (("prove", str(CORPUS / "proofs" / "boxinf-bounded.json")), _PROOFS),
+    (("audit", "rules", "--rule", "prelinearity"), _PROOFS),
+    (("audit", "boxinf", "--trials", "1000"), _SEARCH),
     (("--help",), []),
     (("algebra", "classify", str(_ALGEBRAS / "boolean-square.json"), "--json"),
      ["numpy", "mmv.analysis"]),
-    (("refute", "--formula", "<>p -> []p"), ["numpy", "mmv.enumeration"]),
+    (("algebra", "validate", str(_ALGEBRAS / "boolean-square.json")),
+     ["numpy", "mmv.analysis"]),
+    (("refute", "--formula", "<>p -> []p"), ["numpy", "mmv.enumeration", *_SEARCH]),
+    (("audit", "axioms", "--trials", "2"), ["numpy", "mmv.enumeration", *_PROOFS]),
 ]
 
 
@@ -873,6 +879,14 @@ def test_commands_load_only_the_layers_they_run(args, layers):
     result = run_fresh(*args, code=_LAYER_REPORT)
     report = json.loads(result.stderr.splitlines()[-1])
     assert report == {"exit": 0, "ran": layers}
+
+
+def test_rule_choices_are_the_derived_rules():
+    # the CLI writes the names out so that loading it does not load `proofs`
+    from mmv import cli, proofs
+
+    (option,) = [p for p in cli.audit_rules_command.params if p.name == "rule_name"]
+    assert tuple(option.type.choices) == ("all",) + proofs.DERIVED_RULES
 
 
 @pytest.mark.parametrize(

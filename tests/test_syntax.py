@@ -1,6 +1,12 @@
 """Parser, printer, schema matching, and modalization checks."""
 
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +17,7 @@ from mmv.syntax import (
     Box,
     Const,
     Dia,
+    Formula,
     Impl,
     Join,
     Meet,
@@ -186,6 +193,31 @@ def test_variables_and_subformulas():
     assert len(nodes) == 10
 
 
+def _not_chain(depth: int) -> Formula:
+    formula = P
+    for _ in range(depth):
+        formula = Not(formula)
+    return formula
+
+
+def test_structural_helpers_handle_deep_formulas():
+    chain = _not_chain(100_000)
+    nodes = list(subformulas(chain))
+    assert len(nodes) == 100_001
+    # post-order: p first, then each Not right after its argument
+    assert nodes[0] is P and nodes[-1] is chain
+    assert all(parent.arg is child for child, parent in zip(nodes, nodes[1:]))
+    assert variables(chain) == ["p"]
+
+
+def test_subformulas_repeats_shared_subtrees():
+    shared = Box(Impl(P, Q))
+    formula = Star(shared, Not(shared))
+    nodes = list(subformulas(formula))
+    assert nodes == [P, Q, Impl(P, Q), shared, P, Q, Impl(P, Q), shared, Not(shared), formula]
+    assert variables(formula) == ["p", "q"]
+
+
 @pytest.mark.parametrize(
     "text, expected",
     [
@@ -227,3 +259,108 @@ def test_match_schema_enforces_modalized_side_condition():
 def test_schema_marks_requested_names_only():
     pattern = schema("nu -> phi", modalized=("nu",))
     assert pattern == Impl(MetaVar("nu", modalized=True), MetaVar("phi"))
+
+
+# ---------------------------------------------------------------------------
+# formula nodes: hash, equality, immutability, pickling
+
+
+_NODES = [
+    (Formula, ()),
+    (Var, ("p",)),
+    (Const, (1,)),
+    (MetaVar, ("phi", True)),
+    (Not, (P,)),
+    (Box, (Impl(P, Q),)),
+    (Dia, (Const(0),)),
+    (Impl, (P, Q)),
+    (Star, (Not(P), Q)),
+    (Oplus, (P, Box(Q))),
+    (Meet, (Q, Q)),
+    (Join, (Dia(P), R)),
+]
+
+
+@pytest.mark.parametrize("cls, fields", _NODES, ids=[cls.__name__ for cls, _ in _NODES])
+def test_node_hash_is_the_hash_of_its_fields(cls, fields):
+    node = cls(*fields)
+    assert hash(node) == hash(fields)
+    assert node == cls(*fields)
+
+
+def test_nodes_of_different_classes_are_never_equal():
+    assert Box(P) != Dia(P) and Dia(P) != Box(P)
+    assert Impl(P, Q) != Star(P, Q)
+    for cls, fields in _NODES:
+        for other, other_fields in _NODES:
+            if other is not cls and len(fields) == len(other_fields):
+                assert cls(*fields) != other(*fields)
+
+
+def test_node_repr_names_every_field():
+    assert repr(MetaVar("phi")) == "MetaVar(name='phi', modalized=False)"
+    assert repr(Impl(P, Not(Const(0)))) == (
+        "Impl(left=Var(name='p'), right=Not(arg=Const(value=0)))"
+    )
+    assert repr(Formula()) == "Formula()"
+
+
+@pytest.mark.parametrize("cls, fields", _NODES[1:], ids=[cls.__name__ for cls, _ in _NODES[1:]])
+def test_nodes_are_immutable(cls, fields):
+    node = cls(*fields)
+    name = node.__match_args__[0]
+    with pytest.raises(AttributeError):
+        setattr(node, name, P)
+    with pytest.raises(AttributeError):
+        delattr(node, name)
+    with pytest.raises(AttributeError):
+        node._hash = 0
+    with pytest.raises(AttributeError):
+        node.extra = 0
+    assert node == cls(*fields)
+
+
+def test_pickle_and_deepcopy_rebuild_equal_nodes():
+    formula = parse("[](p -> q) * ~<>(r (+) 1) \\/ 0 /\\ p")
+    pattern = schema("[](nu -> phi) -> (nu -> []phi)", modalized=("nu",))
+    for node in (formula, pattern, Formula()):
+        for copied in (pickle.loads(pickle.dumps(node)), copy.deepcopy(node)):
+            assert copied == node and type(copied) is type(node)
+            assert hash(copied) == hash(node)
+            assert repr(copied) == repr(node)
+
+
+_PICKLE_DUMP = """
+import pickle, sys
+from mmv.syntax import parse
+sys.stdout.buffer.write(pickle.dumps(parse(sys.argv[1])))
+"""
+
+_PICKLE_LOAD = """
+import pickle, sys
+from mmv.syntax import parse
+loaded = pickle.loads(sys.stdin.buffer.read())
+fresh = parse(sys.argv[1])
+print(hash(loaded) == hash(fresh), {fresh: "found"}.get(loaded), loaded == fresh)
+"""
+
+
+def test_a_pickled_formula_hashes_anew_in_another_process():
+    # str hashes differ between processes, so a pickle must not carry one
+    root = Path(__file__).resolve().parent.parent
+    text = "[](alpha -> beta) \\/ <>gamma"
+
+    def run(code, seed, data=None):
+        env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONHASHSEED": seed}
+        return subprocess.run([sys.executable, "-c", code, text], env=env, input=data,
+                              capture_output=True, check=True).stdout
+
+    loaded = run(_PICKLE_LOAD, "2", run(_PICKLE_DUMP, "1"))
+    assert loaded.decode() == "True found True\n"
+
+
+def test_deep_formulas_hash_without_recursion():
+    chain = _not_chain(100_000)
+    assert hash(chain) == hash((chain.arg,))
+    assert {chain: 1}[chain] == 1
+    assert chain != _not_chain(99_999)
