@@ -34,6 +34,7 @@ from .syntax import (
     Oplus,
     Star,
     Var,
+    postorder,
 )
 
 Rational = Fraction
@@ -234,12 +235,8 @@ def eval_in_power(
     Box is read as `forall_inf` and diamond as `exists_sup`.  Every variable
     of the formula must be assigned a tuple of length n.
     """
-    memo: dict[Formula, MonadicElement] = {}
-
-    def walk(f: Formula) -> MonadicElement:
-        cached = memo.get(f)
-        if cached is not None:
-            return cached
+    values: dict[int, MonadicElement] = {}  # id(node) -> its value
+    for f in postorder(formula):
         if isinstance(f, Var):
             try:
                 value = valuation[f.name]
@@ -252,16 +249,16 @@ def eval_in_power(
         elif isinstance(f, Const):
             value = const_tuple(_ONE if f.value else _ZERO, n)
         elif isinstance(f, Not):
-            value = power_neg(walk(f.arg))
+            value = power_neg(values[id(f.arg)])
         elif isinstance(f, Box):
-            value = forall_inf(walk(f.arg))
+            value = forall_inf(values[id(f.arg)])
         elif isinstance(f, Dia):
-            value = exists_sup(walk(f.arg))
+            value = exists_sup(values[id(f.arg)])
         elif isinstance(f, BINARY_TYPES):
-            value = power_binop(_POWER_BINOP_NAME[type(f)], walk(f.left), walk(f.right))
+            value = power_binop(
+                _POWER_BINOP_NAME[type(f)], values[id(f.left)], values[id(f.right)]
+            )
         else:
             raise TypeError(f"cannot evaluate {f!r}")
-        memo[f] = value
-        return value
-
-    return walk(formula)
+        values[id(f)] = value
+    return values[id(formula)]

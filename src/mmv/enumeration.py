@@ -93,6 +93,7 @@ from .syntax import (
     Oplus,
     Star,
     Var,
+    postorder,
 )
 
 _CHUNK = 1 << 16
@@ -181,43 +182,36 @@ def _compile(formulas: Sequence[Formula]) -> _Program:
                     last[key[2]] = index
         return index
 
-    def visit(f: Formula) -> int:
-        index = seen.get(id(f))
-        if index is not None:
-            return index
-        if isinstance(f, Var):
-            index = intern((_VAR, f.name, None), False)
-        elif isinstance(f, Const):
-            index = intern((_CONST, 1 if f.value else 0, None), True)
-        else:
-            code = _CODES.get(type(f))
-            if code is None:
-                raise TypeError(f"cannot evaluate {f!r}")
-            modal = code in (_BOX, _DIA)
-            if code == _NOT or modal:
-                args = (visit(f.arg), None)
-            else:
-                args = (visit(f.left), visit(f.right))
-            if modal and flat[args[0]]:
-                index = args[0]
-            else:
-                is_flat = modal or all(flat[a] for a in args if a is not None)
-                index = intern((code, *args), is_flat)
-        seen[id(f)] = index
-        return index
-
-    # visiting root k interns exactly the ops it needs that earlier roots
+    # compiling root k interns exactly the ops it needs that earlier roots
     # did not, children first: those are its steps
     roots, steps = [], []
-    for k, f in enumerate(formulas):
+    for k, formula in enumerate(formulas):
         start = len(ops)
-        root = visit(f)
+        for f in postorder(formula):
+            if id(f) in seen:
+                continue
+            code = _CODES.get(type(f))
+            if code is None:
+                if isinstance(f, Var):
+                    index = intern((_VAR, f.name, None), False)
+                elif isinstance(f, Const):
+                    index = intern((_CONST, 1 if f.value else 0, None), True)
+                else:
+                    raise TypeError(f"cannot evaluate {f!r}")
+            elif code == _NOT:
+                a = seen[id(f.arg)]
+                index = intern((code, a, None), flat[a])
+            elif code <= _DIA:
+                a = seen[id(f.arg)]
+                index = a if flat[a] else intern((code, a, None), True)
+            else:
+                a, b = seen[id(f.left)], seen[id(f.right)]
+                index = intern((code, a, b), flat[a] and flat[b])
+            seen[id(f)] = index
+        root = seen[id(formula)]
         roots.append(root)
         steps.append(range(start, len(ops)))
         last[root] = -1 - k
-    # `visit` refers to itself through its closure; breaking that cycle lets
-    # these tables go by reference counting instead of the cycle collector
-    visit = None
     # one pass in run order: an op takes a free slot, then frees the slots
     # of the operands it reads last, so it never shares one with them
     slots = [-1] * len(ops)

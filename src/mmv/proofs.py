@@ -49,7 +49,6 @@ from .syntax import (
     print_formula,
     schema,
     substitute,
-    variables,
 )
 
 ACCEPT = "accept"
@@ -206,17 +205,17 @@ _BOXINF_SHAPE_TEXT = print_formula(_BOXINF_SHAPE)
 
 def _star_leaf_count(tree: Formula, base: Formula) -> int | None:
     """If the tree is a pure star combination of copies of base, their count."""
-    if tree == base:
-        return 1
-    if isinstance(tree, Star):
-        left = _star_leaf_count(tree.left, base)
-        if left is None:
+    count = 0
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node == base:
+            count += 1
+        elif isinstance(node, Star):
+            stack += (node.left, node.right)
+        else:
             return None
-        right = _star_leaf_count(tree.right, base)
-        if right is None:
-            return None
-        return left + right
-    return None
+    return count
 
 
 def _premise_exponent(
@@ -523,14 +522,17 @@ class AxiomAuditReport:
 def _scan_instance(
     cells: Sequence[tuple[int, int]], cap: int, task: tuple
 ) -> tuple[int, AuditViolation | None]:
-    """Scan one instance of a schema over every cell up to its first violation.
+    """Scan one compiled instance of a schema over every cell up to its first
+    violation.
 
     A multiset pass may settle the instance before any cell
     (`search.scan_cells` with `settle_first`); violations, seed streams and
     assignments are those of the per-cell scan over the m-major `cells`.
     """
-    name, instance, seed_base = task
-    checked, _, hit = search.scan_cells((), instance, cells, cap, seed_base, settle_first=True)
+    name, instance, program, seed_base = task
+    checked, _, hit = search.scan_cells(
+        (), instance, program, cells, cap, seed_base, settle_first=True
+    )
     if hit is None:
         return checked, None
     m, n, valuation, values = hit
@@ -583,10 +585,11 @@ def axiom_soundness_audit(
             instance = random_instance(rng, pattern, names, max_depth)
             drawn.setdefault(instance, [offset, 0])[1] += 1
         for instance, (offset, count) in drawn.items():
-            tasks.append((name, instance, (seed, schema_index, offset)))
+            program = enumeration.compile_claim((), instance)
+            tasks.append((name, instance, program, (seed, schema_index, offset)))
             counts.append(count)
     cells = [(m, n) for m in range(1, m_max + 1) for n in range(1, n_max + 1)]
-    for nvars in {len(variables(task[1])) for task in tasks}:  # before any scan
+    for nvars in {len(task[2].names) for task in tasks}:  # before any scan
         for m, n in cells:
             enumeration.check_cell(m, n, nvars, cap)
     scan = partial(_scan_instance, cells, cap)

@@ -10,10 +10,10 @@ valuations in a fixed order.  Cells larger than the budget's cap are sampled
 with the budget's seed instead of enumerated, so runs are reproducible.
 
 One routine, `scan_cells`, walks ordered cells up to the first hit for both
-`refute` and `proofs.axiom_soundness_audit`: it compiles the claim once,
-checks every cell before scanning any, seeds each cell from the caller's
-seed and the cell, and re-verifies the hit through the exact scalar
-evaluator before it is reported.
+`refute` and `proofs.axiom_soundness_audit`: it runs the claim's compiled
+program on every cell, checks every cell before scanning any, seeds each
+cell from the caller's seed and the cell, and re-verifies the hit through
+the exact scalar evaluator before it is reported.
 
 It alone decides the row-multiset route.  One pass over the multisets of
 world rows (`enumeration.multisets_clean`) decides every cell up to the
@@ -221,30 +221,28 @@ def _pool_map(fn: Callable, tasks: Sequence, workers: int) -> Iterator:
 def scan_cells(
     premises: Sequence[Formula],
     conclusion: Formula,
+    program: enumeration._Program,
     cells: Sequence[tuple[int, int]],
     cap: int,
     seed_base: tuple,
     jobs: int = 1,
     settle_first: bool = False,
-    program: enumeration._Program | None = None,
 ) -> tuple[int, int, tuple | None]:
     """Scan the cells in the order given up to the first verified hit.
 
-    The claim is compiled once (`enumeration.compile_claim`) for every cell,
-    unless the caller passes the program it compiled.
-    Every cell passes `enumeration.check_cell` before any is scanned; cell
-    (m, n) is seeded with (*seed_base, m, n), and the first hit is
-    re-verified by `_verify_countermodel`.  The cells go through `fan_out`,
-    so the result does not depend on jobs.  Returns (assignments checked,
-    cells visited, hit), where hit is (m, n, valuation, values) or None.
+    `program` is the claim compiled by `enumeration.compile_claim`; every
+    cell runs it.  Every cell passes `enumeration.check_cell` before any is
+    scanned; cell (m, n) is seeded with (*seed_base, m, n), and the first
+    hit is re-verified by `_verify_countermodel`.  The cells go through
+    `fan_out`, so the result does not depend on jobs.  Returns (assignments
+    checked, cells visited, hit), where hit is (m, n, valuation, values) or
+    None.
 
     A multiset pass (see the module docstring) stands for every cell when
     `settle_first` is set, and otherwise for the cells from the first
     sampled one on; it runs, when it pays, once the cells before those are
     scanned without a hit.  Either way the result is the same.
     """
-    if program is None:
-        program = enumeration.compile_claim(premises, conclusion)
     nvars = len(program.names)
     exhaustive = [enumeration.check_cell(m, n, nvars, cap) for m, n in cells]
 
@@ -300,7 +298,7 @@ def refute(
     program = enumeration.compile_claim(premises, conclusion)
     cells = _cells(budget, len(program.names))
     checked, visited, hit = scan_cells(
-        premises, conclusion, cells, budget.valuation_cap, (budget.seed,), jobs, program=program
+        premises, conclusion, program, cells, budget.valuation_cap, (budget.seed,), jobs
     )
     if hit is None:
         return SearchReport("exhausted", budget.seed, cells, checked, caveat=EXHAUSTED_CAVEAT)
@@ -322,24 +320,6 @@ def refute_width_k(
         raise InputError("k must be >= 1")
     budget = replace(budget, n_max=min(budget.n_max, k))
     return refute(premises, conclusion, budget, jobs=jobs)
-
-
-def extend_structure(structure: SafeStructure, worlds: int) -> SafeStructure:
-    """Add worlds by duplicating the first one.
-
-    Duplicating a world changes no minimum or maximum, so every formula keeps
-    its truth values on the original worlds; countermodels stay countermodels.
-    """
-    if worlds < structure.worlds:
-        raise ValueError("cannot shrink a structure")
-    extra = worlds - structure.worlds
-    return SafeStructure(
-        worlds=worlds,
-        valuation={
-            name: values + (values[0],) * extra
-            for name, values in structure.valuation.items()
-        },
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +400,10 @@ def boxinf_soundness_probe(
     Wherever the dichotomy holds the conclusion must evaluate to 1; those
     checks populate `violations` when they fail.  Structures where the
     dichotomy fails are reported as finite-approximation gaps.
+
+    Only the premise for n = bound is evaluated: (box beta)^n does not grow
+    with n, and join and the consequent of an implication are monotone, so
+    that premise holds exactly where every premise for n <= bound holds.
     """
     check_trials(trials, bound=bound, m_max=m_max, n_max=n_max)
     alpha = parse("p") if alpha is None else alpha
@@ -428,7 +412,7 @@ def boxinf_soundness_probe(
     names = sorted(
         set(variables(alpha)) | set(variables(beta)) | set(variables(phi))
     )
-    premise_formulas = [boxinf_premise(phi, alpha, beta, i) for i in range(1, bound + 1)]
+    premise = boxinf_premise(phi, alpha, beta, bound)
     conclusion = boxinf_conclusion(phi, alpha, beta)
     rng = random.Random(seed)
     report = BoxInfProbeReport(bound=bound, trials=trials, seed=seed)
@@ -438,7 +422,7 @@ def boxinf_soundness_probe(
         structure = SafeStructure(
             worlds=n, valuation=random_valuation(rng, names, m, n)
         )
-        if not semantics.is_model(structure, premise_formulas):
+        if not semantics.holds(structure, premise):
             continue
         report.premise_models += 1
         box_alpha = semantics.evaluate(structure, Box(alpha))[0]

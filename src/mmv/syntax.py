@@ -27,8 +27,15 @@ Nodes are immutable ``__slots__`` objects.  Each stores ``hash(fields)``
 when it is built, so hashing a formula never walks it.  A pickle rebuilds a
 node through its constructor and never carries the stored hash, because
 ``str`` hashes differ between processes (``--jobs`` workers unpickle
-formulas).  ``subformulas`` and ``variables`` keep their own stacks and take
-formulas of any depth.
+formulas).
+
+Every walk over a formula is iterative, so formulas of any depth are taken
+(``repr`` and pickling still recurse).  ``postorder`` lists each distinct
+node once, children before parents; the walkers that need their children's
+results run on it (the evaluator, the compiler, ``variables``,
+``substitute``), and the others keep an explicit stack of their own: the
+parser, the printer, equality, ``subformulas``, ``is_modalized`` and
+``match_schema``.
 
 ``InputError``, the base of ``ParseError``, is the one exception type for
 malformed input in every layer; it lives here because every layer imports
@@ -38,7 +45,7 @@ this module.
 from __future__ import annotations
 
 import re
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 
 class InputError(ValueError):
@@ -90,7 +97,19 @@ class Formula:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self is other or (self._hash == other._hash and self._fields() == other._fields())
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__ or a._hash != b._hash:
+                return False
+            for x, y in zip(a._fields(), b._fields()):
+                if isinstance(x, Formula):
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
@@ -266,98 +285,86 @@ _CONNECTIVES = {
 }
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.index = 0
-
-    def _peek(self) -> str | None:
-        if self.index < len(self.tokens):
-            return self.tokens[self.index][0]
-        return None
-
-    def _advance(self) -> tuple[str, str, int]:
-        token = self.tokens[self.index]
-        self.index += 1
-        return token
-
-    def _position(self) -> int:
-        if self.index < len(self.tokens):
-            return self.tokens[self.index][2]
-        return len(self.text)
-
-    def parse(self) -> Formula:
-        formula = self._equiv()
-        if self.index != len(self.tokens):
-            kind, text, pos = self.tokens[self.index]
-            raise ParseError(f"unexpected {text!r} after formula", pos)
-        return formula
-
-    def _equiv(self) -> Formula:
-        left = self._binary(_PREC_IMPL)
-        if self._peek() == "equiv":
-            self._advance()
-            right = self._binary(_PREC_IMPL)
-            return equiv(left, right)
-        return left
-
-    def _binary(self, min_prec: int) -> Formula:
-        """Binary connectives binding at least as tightly as min_prec."""
-        formula = self._unary()
-        while True:
-            connective = _CONNECTIVES.get(self._peek())
-            info = _BINARY_INFO.get(connective)
-            if info is None or info[0] < min_prec:
-                return formula
-            self._advance()
-            prec = info[0]
-            # `->` associates to the right, the others to the left
-            right = self._binary(prec if connective is Impl else prec + 1)
-            formula = connective(formula, right)
-
-    def _unary(self) -> Formula:
-        connective = _CONNECTIVES.get(self._peek())
-        if connective in _UNARY_INFO:
-            self._advance()
-            return connective(self._unary())
-        return self._atom()
-
-    def _atom(self) -> Formula:
-        if self.index >= len(self.tokens):
-            raise ParseError("unexpected end of input", self._position())
-        kind, text, pos = self._advance()
-        if kind == "const":
-            return ZERO if text == "0" else ONE
-        if kind == "ident":
-            return Var(text)
-        if kind == "lparen":
-            formula = self._equiv()
-            if self._peek() != "rparen":
-                raise ParseError("expected ')'", self._position())
-            self._advance()
-            return formula
-        raise ParseError(f"unexpected {text!r}", pos)
-
-
 def parse(text: str) -> Formula:
     """Parse concrete syntax into a formula tree.
 
-    Raises ParseError (with character position) on malformed input.
+    Raises ParseError (with character position) on malformed input.  One
+    loop reads the tokens left to right onto a stack of operands and a stack
+    of pending connectives, so nesting depth is bounded only by memory.
     """
-    return _Parser(text).parse()
+    tokens = _tokenize(text) + [("end", "", len(text))]
+    operands: list[Formula] = []
+    pending: list[tuple[int, type | None]] = []  # (precedence, connective)
+    opened = index = 0  # parentheses open, next token
+
+    def reduce(floor: int) -> None:
+        """Apply the pending connectives that bind more tightly than floor."""
+        while pending and pending[-1][0] > floor:
+            prec, connective = pending.pop()
+            if prec == _PREC_UNARY:
+                operands[-1] = connective(operands[-1])
+            else:
+                right = operands.pop()
+                operands[-1] = connective(operands[-1], right)
+
+    while True:
+        # an operand: prefix connectives and open parentheses, then an atom
+        kind, token, pos = tokens[index]
+        index += 1
+        if kind == "lparen":
+            pending.append((_PREC_OPEN, None))
+            opened += 1
+            continue
+        if _CONNECTIVES.get(kind) in _UNARY_INFO:
+            pending.append((_PREC_UNARY, _CONNECTIVES[kind]))
+            continue
+        if kind == "ident":
+            operands.append(Var(token))
+        elif kind == "const":
+            operands.append(ZERO if token == "0" else ONE)
+        elif kind == "end":
+            raise ParseError("unexpected end of input", pos)
+        else:
+            raise ParseError(f"unexpected {token!r}", pos)
+        # after it: close parentheses, then a binary connective or the end
+        while tokens[index][0] == "rparen" and opened:
+            reduce(_PREC_OPEN)
+            pending.pop()
+            opened -= 1
+            index += 1
+        kind, token, pos = tokens[index]
+        connective = _CONNECTIVES.get(kind)
+        if kind == "equiv":
+            # `==` joins two implication-level formulas, once per parenthesis
+            reduce(_PREC_EQUIV)
+            if not pending or pending[-1][0] != _PREC_EQUIV:
+                pending.append((_PREC_EQUIV, equiv))
+                index += 1
+                continue
+        elif connective in _BINARY_INFO:
+            prec = _BINARY_INFO[connective][0]
+            # `->` associates to the right, the others to the left
+            reduce(prec if connective is Impl else prec - 1)
+            pending.append((prec, connective))
+            index += 1
+            continue
+        elif kind == "end" and not opened:
+            reduce(_PREC_OPEN)
+            return operands[0]
+        raise ParseError("expected ')'" if opened else f"unexpected {token!r} after formula", pos)
 
 
 # ---------------------------------------------------------------------------
 # Printer
 
+_PREC_OPEN = -1  # an open parenthesis, pending in the parser
+_PREC_EQUIV = 0  # `==`, which the parser expands and the printer never emits
 _PREC_IMPL = 1
 _PREC_JOIN = 2
 _PREC_MEET = 3
 _PREC_OPLUS = 4
 _PREC_STAR = 5
 _PREC_UNARY = 6
-_PREC_ATOM = 7
 
 _BINARY_INFO = {
     Impl: (_PREC_IMPL, " -> "),
@@ -370,40 +377,40 @@ _BINARY_INFO = {
 _UNARY_INFO = {Not: "~", Box: "[]", Dia: "<>"}
 
 
-def _precedence(formula: Formula) -> int:
-    info = _BINARY_INFO.get(type(formula))
-    if info is not None:
-        return info[0]
-    if type(formula) in _UNARY_INFO:
-        return _PREC_UNARY
-    return _PREC_ATOM
-
-
-def _render(formula: Formula, min_prec: int) -> str:
-    prec = _precedence(formula)
-    if isinstance(formula, Var):
-        text = formula.name
-    elif isinstance(formula, Const):
-        text = str(formula.value)
-    elif isinstance(formula, MetaVar):
-        text = formula.name
-    elif isinstance(formula, UNARY_TYPES):
-        text = _UNARY_INFO[type(formula)] + _render(formula.arg, _PREC_UNARY)
-    else:
-        _, symbol = _BINARY_INFO[type(formula)]
-        if isinstance(formula, Impl):
-            # right associative: the left child needs parens at equal level
-            text = _render(formula.left, prec + 1) + symbol + _render(formula.right, prec)
-        else:
-            text = _render(formula.left, prec) + symbol + _render(formula.right, prec + 1)
-    if prec < min_prec:
-        return "(" + text + ")"
-    return text
-
-
 def print_formula(formula: Formula) -> str:
-    """Render with minimal parentheses; parse(print_formula(f)) == f."""
-    return _render(formula, _PREC_IMPL)
+    """Render with minimal parentheses; parse(print_formula(f)) == f.
+
+    Pieces go onto one list, joined once, so printing is linear in the
+    output.
+    """
+    pieces: list[str] = []
+    stack: list = [(formula, _PREC_IMPL)]  # (node, least precedence) or a piece
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            pieces.append(item)
+            continue
+        node, min_prec = item
+        cls = type(node)
+        if cls in _UNARY_INFO:
+            # nothing binds more tightly than a prefix, so it needs no parens
+            pieces.append(_UNARY_INFO[cls])
+            stack.append((node.arg, _PREC_UNARY))
+        elif isinstance(node, (Var, MetaVar)):
+            pieces.append(node.name)
+        elif isinstance(node, Const):
+            pieces.append(str(node.value))
+        else:
+            prec, symbol = _BINARY_INFO[cls]
+            if prec < min_prec:
+                pieces.append("(")
+                stack.append(")")
+            if cls is Impl:
+                # right associative: the left child needs parens at equal level
+                stack += ((node.right, prec), symbol, (node.left, prec + 1))
+            else:
+                stack += ((node.right, prec + 1), symbol, (node.left, prec))
+    return "".join(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -429,44 +436,55 @@ def subformulas(formula: Formula) -> Iterator[Formula]:
             yield node
 
 
-def variables(formula: Formula) -> list[str]:
-    """Sorted list of the variable names occurring in the formula.
+def postorder(formula: Formula) -> list[Formula]:
+    """Each distinct node of the formula once, children before parents.
 
-    Each distinct node object is visited once, so a subtree shared by
-    substitution costs one walk.
+    Nodes are told apart by identity, so a subtree shared by several
+    parents is listed once, where the walk first finishes it: left before
+    right, the root last.  The walk keeps its own stack, so it takes
+    formulas of any depth.
     """
-    names = set()
-    seen = set()
-    stack = [formula]
+    done: dict[int, Formula] = {}  # id -> node, in the order finished
+    stack: list[Formula | None] = [formula]  # None: finish the node below it
     while stack:
         node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node, _Binary):
-            stack += (node.left, node.right)
-        elif isinstance(node, _Unary):
-            stack.append(node.arg)
-        elif isinstance(node, Var):
-            names.add(node.name)
-    return sorted(names)
+        if node is None:
+            node = stack.pop()
+            done[id(node)] = node
+        elif id(node) not in done:
+            if isinstance(node, _Binary):
+                stack += (node, None, node.right, node.left)
+            elif isinstance(node, _Unary):
+                stack += (node, None, node.arg)
+            else:
+                done[id(node)] = node
+    return list(done.values())
+
+
+def variables(formula: Formula) -> list[str]:
+    """Sorted list of the variable names occurring in the formula."""
+    return sorted({node.name for node in postorder(formula) if isinstance(node, Var)})
 
 
 def is_modalized(formula: Formula) -> bool:
     """True when the truth value cannot depend on the world of evaluation.
 
     Holds for constants and for any combination of boxed/diamonded
-    subformulas under the propositional connectives.
+    subformulas under the propositional connectives.  The left operand is
+    checked first, and a variable there decides without the right.
     """
-    if isinstance(formula, (Box, Dia, Const)):
-        return True
-    if isinstance(formula, Var):
-        return False
-    if isinstance(formula, Not):
-        return is_modalized(formula.arg)
-    if isinstance(formula, BINARY_TYPES):
-        return is_modalized(formula.left) and is_modalized(formula.right)
-    raise TypeError(f"not a ground formula: {formula!r}")
+    stack = [formula]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            return False
+        if isinstance(node, Not):
+            stack.append(node.arg)
+        elif isinstance(node, BINARY_TYPES):
+            stack += (node.right, node.left)
+        elif not isinstance(node, (Box, Dia, Const)):
+            raise TypeError(f"not a ground formula: {node!r}")
+    return True
 
 
 def match_schema(pattern: Formula, formula: Formula) -> dict[str, Formula] | None:
@@ -474,48 +492,58 @@ def match_schema(pattern: Formula, formula: Formula) -> dict[str, Formula] | Non
 
     Returns the metavariable binding on success, None on failure.  Repeated
     metavariables must bind equal subformulas; metavariables flagged as
-    modalized only match modalized formulas.
+    modalized only match modalized formulas.  Metavariables are bound left
+    to right.
     """
     binding: dict[str, Formula] = {}
-
-    def walk(pat: Formula, f: Formula) -> bool:
+    stack = [(pattern, formula)]
+    while stack:
+        pat, f = stack.pop()
         if isinstance(pat, MetaVar):
             if pat.modalized and not is_modalized(f):
-                return False
-            bound = binding.get(pat.name)
-            if bound is None:
-                binding[pat.name] = f
-                return True
-            return bound == f
-        if type(pat) is not type(f):
-            return False
-        if isinstance(pat, (Var, Const)):
-            return pat == f
-        if isinstance(pat, UNARY_TYPES):
-            return walk(pat.arg, f.arg)
-        return walk(pat.left, f.left) and walk(pat.right, f.right)
+                return None
+            if binding.setdefault(pat.name, f) != f:
+                return None
+        elif type(pat) is not type(f):
+            return None
+        elif isinstance(pat, (Var, Const)):
+            if pat != f:
+                return None
+        elif isinstance(pat, UNARY_TYPES):
+            stack.append((pat.arg, f.arg))
+        else:
+            stack += ((pat.right, f.right), (pat.left, f.left))
+    return binding
 
-    if walk(pattern, formula):
-        return binding
-    return None
+
+def _rebuild(formula: Formula, leaf: Callable[[Formula], Formula]) -> Formula:
+    """The formula with every leaf node replaced by `leaf(node)`."""
+    built: dict[int, Formula] = {}
+    for node in postorder(formula):
+        if isinstance(node, _Binary):
+            new = type(node)(built[id(node.left)], built[id(node.right)])
+        elif isinstance(node, _Unary):
+            new = type(node)(built[id(node.arg)])
+        else:
+            new = leaf(node)
+        built[id(node)] = new
+    return built[id(formula)]
 
 
 def substitute(pattern: Formula, binding: Mapping[str, Formula]) -> Formula:
     """Replace every metavariable in the pattern with its bound formula."""
-    if isinstance(pattern, MetaVar):
-        try:
-            return binding[pattern.name]
-        except KeyError:
-            raise KeyError(f"unbound metavariable {pattern.name!r}") from None
-    if isinstance(pattern, (Var, Const)):
-        return pattern
-    if isinstance(pattern, UNARY_TYPES):
-        return type(pattern)(substitute(pattern.arg, binding))
-    if isinstance(pattern, BINARY_TYPES):
-        return type(pattern)(
-            substitute(pattern.left, binding), substitute(pattern.right, binding)
-        )
-    raise TypeError(f"not a pattern node: {pattern!r}")
+
+    def leaf(node: Formula) -> Formula:
+        if isinstance(node, MetaVar):
+            try:
+                return binding[node.name]
+            except KeyError:
+                raise KeyError(f"unbound metavariable {node.name!r}") from None
+        if isinstance(node, (Var, Const)):
+            return node
+        raise TypeError(f"not a pattern node: {node!r}")
+
+    return _rebuild(pattern, leaf)
 
 
 def schema(text: str, modalized: tuple[str, ...] = ()) -> Formula:
@@ -523,15 +551,7 @@ def schema(text: str, modalized: tuple[str, ...] = ()) -> Formula:
 
     Names listed in `modalized` get the world-independence side condition.
     """
-    parsed = parse(text)
-
-    def lift(f: Formula) -> Formula:
-        if isinstance(f, Var):
-            return MetaVar(f.name, modalized=f.name in modalized)
-        if isinstance(f, Const):
-            return f
-        if isinstance(f, UNARY_TYPES):
-            return type(f)(lift(f.arg))
-        return type(f)(lift(f.left), lift(f.right))
-
-    return lift(parsed)
+    return _rebuild(
+        parse(text),
+        lambda node: MetaVar(node.name, node.name in modalized) if isinstance(node, Var) else node,
+    )

@@ -7,8 +7,9 @@ files, proofs, functional and tabular algebras, the `witnesses` key and
 start from the corpus files and the malformed cases that tests/test_cli.py
 pins, and mutate them: a value replaced by another JSON value, an entry
 dropped, a byte sequence that is not UTF-8 spliced in.  World counts and
-functional arities are also drawn at and far past their ceiling.  Runs are
-derandomized, so every run draws the same inputs.
+functional arities are also drawn at and far past their ceiling, and
+formulas nested up to 10**4 levels go through `eval`, `model-check` and
+`refute`.  Runs are derandomized, so every run draws the same inputs.
 """
 
 from __future__ import annotations
@@ -268,6 +269,41 @@ def test_huge_functional_arity(size, command):
     _assert_clean_exit(result)
     if size > MAX_WORLDS:
         assert result.exit_code == 2 and f"n <= {MAX_WORLDS}" in result.output
+
+
+# nesting up to 10**4 levels: prefix chains, nested parentheses and
+# right-associative implication chains, whole or cut short
+@st.composite
+def _deep_formulas(draw) -> tuple[str, bool]:
+    depth = draw(st.integers(1, 10**4) | st.just(10**4))
+    leaf = draw(st.sampled_from(["p", "q", "[]q", "1", "p * ~q"]))
+    shape = draw(st.sampled_from(["prefix", "parens", "implications"]))
+    if shape == "prefix":
+        prefixes = draw(st.lists(st.sampled_from(["~", "[]", "<>"]), min_size=1, max_size=3))
+        text = "".join(prefixes[i % len(prefixes)] for i in range(depth)) + leaf
+    elif shape == "parens":
+        text = "(" * depth + leaf + ")" * depth
+    else:
+        text = " -> ".join([leaf] * depth)
+    cut = draw(st.booleans())
+    if cut:
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return text, cut
+
+
+@settings(_SETTINGS, max_examples=40)
+@given(formula=_deep_formulas(),
+       command=st.sampled_from(["eval", "model-check", "refute"]))
+@example(formula=("~" * 10**4 + "p", False), command="eval")
+@example(formula=(" -> ".join(["p"] * 10**4), False), command="refute")
+def test_deeply_nested_formulas(formula, command):
+    text, cut = formula
+    args = {"eval": ["--model", MODEL], "model-check": ["--model", MODEL],
+            "refute": ["--m-max", "1", "--n-max", "1"]}[command]
+    result = CliRunner().invoke(main, [command, *args, "--formula", text])
+    _assert_clean_exit(result)
+    if not cut:
+        assert result.exit_code != 2, result.output
 
 
 _FILE_KINDS = {

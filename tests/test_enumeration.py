@@ -9,6 +9,7 @@ from math import comb
 import numpy as np
 import pytest
 
+import walk_reference
 from mmv import core, enumeration
 from mmv.enumeration import cell_size, eval_bulk, scan_cell, valid_in_cells
 from mmv.proofs import DEFAULT_AXIOMS
@@ -288,6 +289,15 @@ def test_steps_are_the_ops_each_root_adds(seed):
         for index, (code, a, b) in enumerate(program.ops):
             if code > enumeration._CONST:
                 assert all(c < index for c in (a, b) if c is not None)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_compile_matches_the_recursive_reference(seed):
+    """The compiler on `syntax.postorder` returns the program of the
+    recursive compiler it replaced, every field of it, on random claims with
+    shared subformulas and on schema instances."""
+    for formulas in _claims(seed):
+        assert enumeration._compile(formulas) == walk_reference.compile_formulas(formulas)
 
 
 def _replay_plan(program):

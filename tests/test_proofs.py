@@ -530,6 +530,23 @@ def test_axiom_audit_builds_one_pool_for_all_schemas(fake_pool):
     assert fake_pool.built[0].shutdowns == [(True, True)]
 
 
+def test_axiom_audit_compiles_each_distinct_instance_once(monkeypatch):
+    compiled = []
+    compile_claim = enumeration.compile_claim
+
+    def counting(premises, target):
+        compiled.append(target)
+        return compile_claim(premises, target)
+
+    monkeypatch.setattr(enumeration, "compile_claim", counting)
+    serial = axiom_soundness_audit(**_REPEATED).to_json()
+    # 48 draws, 6 of them repeats
+    assert len(compiled) == 42 and len(set(compiled)) == 42
+    compiled.clear()
+    assert axiom_soundness_audit(**_REPEATED, jobs=2).to_json() == serial
+    assert len(compiled) == 42
+
+
 def test_axiom_audit_re_verifies_every_violation(monkeypatch):
     def false_hit(program, m, n, cap, seed):
         return enumeration.CellResult(True, {"p": (Fraction(1),) * n}, 1, True)

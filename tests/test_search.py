@@ -11,7 +11,7 @@ import pytest
 
 from mmv import enumeration
 from mmv.proofs import DEFAULT_AXIOMS, axiom_soundness_audit, width_schema
-from mmv.randgen import random_formula, random_instance
+from mmv.randgen import random_formula, random_instance, random_valuation
 from mmv.search import (
     EXHAUSTED_CAVEAT,
     SearchBudget,
@@ -19,14 +19,13 @@ from mmv.search import (
     boxinf_premise,
     boxinf_soundness_probe,
     countermodel_from_json,
-    extend_structure,
     fan_out,
     refute,
     refute_width_k,
     scan_cells,
     star_power_formula,
 )
-from mmv.semantics import SafeStructure, evaluate
+from mmv.semantics import SafeStructure, evaluate, holds, is_model
 from mmv.syntax import parse, print_formula
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -446,8 +445,9 @@ def test_no_multiset_route_past_int64_ranks(monkeypatch):
 
     monkeypatch.setattr(enumeration, "scan_program", scan)
     monkeypatch.setattr(enumeration, "multisets_clean", no_pass)
+    program = enumeration.compile_claim((), target)
     for settle_first in (False, True):
-        got = scan_cells((), target, cells, cap, (0,), settle_first=settle_first)
+        got = scan_cells((), target, program, cells, cap, (0,), settle_first=settle_first)
         assert got == (covered, len(cells), None)
     with pytest.raises(ValueError, match="2\\*\\*63"):
         next(enumeration._multiset_grids(2, 2, nvars))
@@ -471,22 +471,6 @@ def test_countermodel_from_json_rejects_exhausted_reports():
     report = refute([], parse("p -> p"), budget=SearchBudget(m_max=1, n_max=1))
     with pytest.raises(ValueError):
         countermodel_from_json(report.to_json())
-
-
-def test_extend_structure_copies_first_world():
-    structure = SafeStructure(worlds=2, valuation={"p": (ONE, ZERO)})
-    extended = extend_structure(structure, 4)
-    assert extended.worlds == 4
-    assert extended.valuation == {"p": (ONE, ZERO, ONE, ONE)}
-    # box/diamond values are unchanged because min and max are preserved
-    assert evaluate(extended, parse("[]p")) == (ZERO,) * 4
-    assert evaluate(extended, parse("<>p")) == (ONE,) * 4
-
-
-def test_extend_structure_rejects_shrinking():
-    structure = SafeStructure(worlds=2, valuation={"p": (ONE, ZERO)})
-    with pytest.raises(ValueError):
-        extend_structure(structure, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +536,32 @@ def test_boxinf_probe_is_deterministic():
     first = boxinf_soundness_probe(trials=60, seed=5)
     second = boxinf_soundness_probe(trials=60, seed=5)
     assert first.to_json() == second.to_json()
+
+
+@pytest.mark.parametrize("bound", range(1, 7))
+def test_boxinf_probe_decides_the_premise_family_by_its_last_member(bound):
+    """The probe evaluates only the premise for n = bound.  On random
+    structures over chains up to L_{bound+1}, that premise holds exactly
+    where every premise for n = 1..bound holds, and the probe counts the
+    structures the whole family admits, drawn from the same seed stream."""
+    phi, alpha, beta = parse("r"), parse("p"), parse("q")
+    family = [boxinf_premise(phi, alpha, beta, n) for n in range(1, bound + 1)]
+    trials, m_max, n_max = 300, bound + 1, 3
+    rng = random.Random(bound)
+    models = weaker = 0
+    for _ in range(trials):
+        m, n = rng.randint(1, m_max), rng.randint(1, n_max)
+        structure = SafeStructure(worlds=n, valuation=random_valuation(rng, ("p", "q", "r"), m, n))
+        whole = is_model(structure, family)
+        assert holds(structure, family[-1]) == whole
+        models += whole
+        weaker += holds(structure, family[0]) and not whole
+    report = boxinf_soundness_probe(
+        bound=bound, trials=trials, seed=bound, m_max=m_max, n_max=n_max
+    )
+    assert report.premise_models == models
+    # checking the first premise alone would admit more structures
+    assert weaker > 0 or bound == 1
 
 
 def test_boxinf_probe_records_strict_gaps():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import parser_reference
+import walk_reference
 from mmv.randgen import random_formula
 from mmv.syntax import (
     Box,
@@ -31,6 +32,7 @@ from mmv.syntax import (
     is_modalized,
     match_schema,
     parse,
+    postorder,
     print_formula,
     schema,
     subformulas,
@@ -103,6 +105,18 @@ def test_modalized_generator_round_trip(seed):
     formula = random_formula(rng, max_depth=4, modalized=True)
     assert is_modalized(formula)
     assert parse(print_formula(formula)) == formula
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_printer_matches_the_recursive_reference(seed):
+    """The explicit-stack printer prints what the recursive printer it
+    replaced printed: random formulas, and schemas with metavariables."""
+    rng = random.Random(seed)
+    formulas = [random_formula(rng, max_depth=5) for _ in range(300)]
+    formulas += [random_formula(rng, max_depth=4, modalized=True) for _ in range(100)]
+    formulas += [schema(print_formula(f), modalized=("q",)) for f in formulas[:100]]
+    for formula in formulas:
+        assert print_formula(formula) == walk_reference.print_formula(formula)
 
 
 def test_parse_errors_carry_positions():
@@ -218,6 +232,45 @@ def test_subformulas_repeats_shared_subtrees():
     assert variables(formula) == ["p", "q"]
 
 
+def _recursive_postorder(formula: Formula) -> list[Formula]:
+    order, seen = [], set()
+
+    def visit(node):
+        if id(node) in seen:
+            return
+        seen.add(id(node))
+        for child in node._fields():
+            if isinstance(child, Formula):
+                visit(child)
+        order.append(node)
+
+    visit(formula)
+    return order
+
+
+def test_postorder_lists_each_distinct_node_once():
+    shared = Box(Impl(P, Q))
+    formula = Star(shared, Not(shared))
+    nodes = postorder(formula)
+    assert nodes == [P, Q, shared.arg, shared, Not(shared), formula]
+    assert [id(node) for node in nodes[:4]] == [id(P), id(Q), id(shared.arg), id(shared)]
+    # equal nodes built apart are distinct nodes
+    apart = Impl(Var("p"), Var("p"))
+    assert postorder(apart) == [Var("p"), Var("p"), apart]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_postorder_is_the_order_of_a_memoised_recursive_walk(seed):
+    rng = random.Random(seed)
+    for _ in range(200):
+        parts = [random_formula(rng, max_depth=3) for _ in range(3)]
+        # subtrees shared by identity, as substitution makes them
+        formula = Impl(Star(parts[0], parts[1]), Join(parts[1], Not(parts[0])))
+        assert [id(n) for n in postorder(formula)] == [
+            id(n) for n in _recursive_postorder(formula)
+        ]
+
+
 @pytest.mark.parametrize(
     "text, expected",
     [
@@ -241,6 +294,16 @@ def test_match_schema_binds_metavariables():
     binding = match_schema(luk1, instance)
     assert binding == {"phi": Star(P, Q), "psi": Dia(R)}
     assert substitute(luk1, binding) == instance
+
+
+def test_walks_go_left_first():
+    # metavariables are bound in order of first occurrence from the left
+    binding = match_schema(schema("psi -> <>phi"), parse("q -> <>p"))
+    assert list(binding) == ["psi", "phi"]
+    # a variable on the left decides before a metavariable on the right raises
+    assert not is_modalized(Impl(P, MetaVar("phi")))
+    with pytest.raises(TypeError, match="not a ground formula"):
+        is_modalized(Impl(Box(P), MetaVar("phi")))
 
 
 def test_match_schema_requires_equal_repeated_metavariables():
@@ -295,6 +358,13 @@ def test_nodes_of_different_classes_are_never_equal():
         for other, other_fields in _NODES:
             if other is not cls and len(fields) == len(other_fields):
                 assert cls(*fields) != other(*fields)
+
+
+def test_nodes_with_equal_hashes_compare_their_fields():
+    # hash(-1) == hash(-2) in CPython, so these nodes share a hash
+    assert hash(Const(-1)) == hash(Const(-2))
+    assert Const(-1) != Const(-2)
+    assert Not(Const(-1)) != Not(Const(-2))
 
 
 def test_node_repr_names_every_field():
