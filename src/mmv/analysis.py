@@ -29,7 +29,7 @@ involved for the two verifiers.  Every operation has an exact integer form
 and the scaling k <-> k/D is an isomorphism onto the Fraction arithmetic in
 `mmv.core` (it is linear and keeps the order), so results are exact.  Whole
 families are combined pair by pair through numpy broadcasting, in blocks of
-at most `_BLOCK` pairs.  A row is identified by its mixed-radix key in base
+at most `_BLOCK` values.  A row is identified by its mixed-radix key in base
 D+1, first coordinate most significant, so keys sort like the tuples.  No
 intermediate exceeds 2D, nor a key (D+1)^n; an array is int64 when its bound
 passes `2 * bound < 2**62` and holds Python integers (dtype object)
@@ -60,8 +60,8 @@ from .syntax import InputError
 
 _ZERO = Fraction(0)
 
-# Pairs (or triples) per block in the pairwise kernels: a candidate block of
-# the closure holds at most 2 * _BLOCK rows.
+# Values per block in the pairwise kernels, n per pair of n-wide rows: a
+# candidate block of the closure holds at most 2 * _BLOCK values.
 _BLOCK = 1 << 16
 
 
@@ -181,9 +181,9 @@ _INT_OPS = {
 }
 
 
-def _row_blocks(rows: int, pairs_per_row: int) -> Iterable[slice]:
-    """Slices of `range(rows)` holding at most `_BLOCK` pairs (at least one row)."""
-    step = max(1, _BLOCK // max(1, pairs_per_row))
+def _row_blocks(rows: int, values_per_row: int) -> Iterable[slice]:
+    """Slices of `range(rows)` holding at most `_BLOCK` values (at least one row)."""
+    step = max(1, _BLOCK // max(1, values_per_row))
     for start in range(0, rows, step):
         yield slice(start, min(rows, start + step))
 
@@ -348,7 +348,7 @@ class FiniteMonadicAlgebra:
 
         size = len(rows)
         impl = np.empty((size, size), dtype=np.int32)
-        for block in _row_blocks(size, size):
+        for block in _row_blocks(size, size * n):
             found = _find(keys, _keys(_impl(rows[block, None], rows, m), m + 1))
             missing = _first(found < 0)
             if missing is not None:
@@ -486,9 +486,8 @@ def _closure_candidates(
 ) -> Iterable[np.ndarray]:
     """Blocks of exists a, a -> b and b -> a for a in the frontier, b in the closure."""
     yield np.repeat(frontier.max(axis=1, keepdims=True), frontier.shape[1], axis=1)
-    pairs = len(frontier) * len(closure)
-    for start in range(0, pairs, _BLOCK):
-        index = np.arange(start, min(pairs, start + _BLOCK))
+    for block in _row_blocks(len(frontier) * len(closure), frontier.shape[1]):
+        index = np.arange(block.start, block.stop)
         a, b = frontier[index // len(closure)], closure[index % len(closure)]
         yield np.concatenate([_impl(a, b, m), _impl(b, a, m)])
 
@@ -810,7 +809,7 @@ def _verify_representation(
         ],
         axis=1,
     )
-    for block in _row_blocks(size, size):
+    for block in _row_blocks(size, size * images.shape[1]):
         left = images[block, None]
         binary = np.stack(
             [
@@ -969,7 +968,7 @@ def _verify_images(
     # inf-quantifier, then implication with every b
     inside, c = member(np.repeat(values.min(axis=1, keepdims=True), values.shape[1], axis=1))
     forall = inside & (images[c] != images.min(axis=1, keepdims=True)).any(axis=1)
-    for block in _row_blocks(len(values), len(values)):
+    for block in _row_blocks(len(values), len(values) * max(values.shape[1], n)):
         inside, c = member(_impl(values[block, None], values, d))
         impl = inside & (images[c] != _impl(images[block, None], images, m)).any(axis=-1)
         failed = _first(np.concatenate([forall[block, None], impl], axis=1))

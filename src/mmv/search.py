@@ -18,17 +18,19 @@ the exact scalar evaluator before it is reported.
 It alone decides the row-multiset route.  One pass over the multisets of
 world rows (`enumeration.multisets_clean`) decides every cell up to the
 largest m and n: a claim with no failure there has none in any cell.  The
-pass stands for the cells from the first sampled one on (`refute`) or for
-all of them (the audit, `settle_first`), and it runs only when those cells
-are left, the multisets number fewer than 2**63 and no more than the
-min(size, cap) assignments the cells would check, and their grids fit the
-grid cache or every one of the cells is exhaustive: past the cache each
-claim decodes its multisets anew, which was no faster than the per-cell
-scan on the audit at m_max = 5, n_max = 3 (4.7-5.3 s against 4.8-5.1 s at
-trials=8, seed=11, on a 2-core host).  A clean claim
-then counts those assignments, as the per-cell scan would, without
-scanning the cells; any other is scanned on cell by cell, so first hits,
-seed streams and reports are those of the per-cell scan.
+pass stands for the cells after the first (`refute`) or for all of them
+(the audit, `settle_first`).  `refute` scans its first cell, the classical
+valuations on one world, alone: most failing claims fail there, and they
+pay nothing for the route.  The pass runs only when cells are left for it,
+the multisets number fewer than 2**63 and no more than the min(size, cap)
+assignments those cells would check, and their grids fit the grid cache
+or every one of those cells is exhaustive: past the cache each claim
+decodes its multisets anew, which was no faster than the per-cell scan on
+the audit at m_max = 5, n_max = 3 (4.7-5.3 s against 4.8-5.1 s at
+trials=8, seed=11, on a 2-core host).  A clean claim then counts those
+assignments, as the per-cell scan would, without scanning the cells; any
+other is scanned on cell by cell, so first hits, seed streams and reports
+are those of the per-cell scan.
 
 `fan_out` is the one place worker processes start for `jobs`; results come
 back in task order, so they do not depend on jobs.  An "exhausted" verdict
@@ -239,8 +241,8 @@ def scan_cells(
     None.
 
     A multiset pass (see the module docstring) stands for every cell when
-    `settle_first` is set, and otherwise for the cells from the first
-    sampled one on; it runs, when it pays, once the cells before those are
+    `settle_first` is set, and otherwise for the cells after the first,
+    which is scanned alone; it runs, when it pays, once that cell is
     scanned without a hit.  Either way the result is the same.
     """
     nvars = len(program.names)
@@ -256,26 +258,21 @@ def scan_cells(
                 return checked, visited, (m, n, dict(result.valuation), values)
         return checked, len(part), None
 
-    split = 0 if settle_first else next(
-        (i for i, full in enumerate(exhaustive) if not full), len(cells)
-    )
-    rest = cells[split:]
-    settle = False
-    if rest:  # otherwise every cell is scanned, and the cost is not worked out
-        m_max, n_max = max(m for m, _ in cells), max(n for _, n in cells)
-        covered = sum(min(enumeration.cell_size(m, n, nvars), cap) for m, n in rest)
-        multisets, cached = enumeration.multiset_cost(m_max, n_max, nvars)
-        settle = (
-            multisets < enumeration._INDEX_LIMIT
-            and multisets <= covered
-            and (cached or all(exhaustive[split:]))
-        )
-    if not settle:
-        return scan(cells)
+    split = 0 if settle_first else min(1, len(cells))
     checked, visited, hit = scan(cells[:split])
-    if hit is not None:
+    rest = cells[split:]
+    if hit is not None or not rest:
         return checked, visited, hit
-    if enumeration.multisets_clean(program, m_max, n_max):
+    # a hit before the split pays nothing for working out the route
+    m_max, n_max = max(m for m, _ in cells), max(n for _, n in cells)
+    covered = sum(min(enumeration.cell_size(m, n, nvars), cap) for m, n in rest)
+    multisets, cached = enumeration.multiset_cost(m_max, n_max, nvars)
+    if (
+        multisets < enumeration._INDEX_LIMIT
+        and multisets <= covered
+        and (cached or all(exhaustive[split:]))
+        and enumeration.multisets_clean(program, m_max, n_max)
+    ):
         return checked + covered, len(cells), None
     more, visited, hit = scan(rest)
     return checked + more, split + visited, hit

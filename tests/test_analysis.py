@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -137,6 +138,25 @@ def test_generation_stops_inside_a_large_round(monkeypatch):
     full_round = 2 * (len(generators) + 1) ** 2
     assert max(blocks) <= 2 * 1024
     assert sum(blocks) < full_round // 20
+
+
+def test_closure_blocks_hold_a_bounded_number_of_values(monkeypatch):
+    # 8 generators, each 1 on its own block of 4 of the 32 points, close to
+    # a 256-element Boolean algebra; blocks sized by pairs alone would hold
+    # 2**17 rows of 32 values each, ~50 MB at the peak
+    n = 32
+    generators = [tuple(F(int(i // 4 == k)) for i in range(n)) for k in range(8)]
+    generate_subalgebra(1, n, generators[:1])  # load what the first call loads
+    tracemalloc.start()
+    try:
+        blocked = generate_subalgebra(1, n, generators)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert blocked.size == 256
+    assert peak < 8 << 20
+    monkeypatch.setattr(analysis, "_BLOCK", 1 << 40)
+    assert _tables(blocked) == _tables(generate_subalgebra(1, n, generators))
 
 
 def test_generator_must_live_in_the_power():

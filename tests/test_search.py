@@ -140,6 +140,22 @@ def test_parallel_search_matches_serial():
 # 100 that cell (512 assignments) is sampled
 WIDTH_TWO = parse("[](p \\/ q) /\\ [](p \\/ r) /\\ [](q \\/ r) -> []p \\/ []q \\/ []r")
 
+_QUARTER = "((p -> ~(p (+) p (+) p)) /\\ (~(p (+) p (+) p) -> p))"  # 1 iff p = 1/4
+_HALF = "((p -> ~p) /\\ (~p -> p))"  # 1 iff p = 1/2
+_THREE_QUARTERS = _QUARTER.replace("p", "~p")  # 1 iff p = 3/4
+
+
+def _crisp(text):
+    # x * x * x * x is 1 at x = 1 and 0 at x <= 3/4, so on L_m with m <= 4
+    # this is 1 where <>text is 1 and 0 elsewhere
+    return " * ".join([f"<>{text}"] * 4)
+
+
+# fails only in cell (4, 3): three worlds with p = 1/4, 1/2 and 3/4; at
+# cap 100 that cell is sampled, its 55 row multisets are fewer, and the
+# multiset pass finds the failure and sends the claim on to the cell
+QUARTERS = parse(f"~({_crisp(_QUARTER)} * {_crisp(_HALF)} * {_crisp(_THREE_QUARTERS)})")
+
 
 @pytest.mark.parametrize(
     "conclusion, budget",
@@ -148,6 +164,13 @@ WIDTH_TWO = parse("[](p \\/ q) /\\ [](p \\/ r) /\\ [](q \\/ r) -> []p \\/ []q \\
         (WIDTH_TWO, SearchBudget(seed=9)),
         (WIDTH_TWO, SearchBudget(valuation_cap=100, seed=9)),
         (parse("<>(p*q) -> <>p*<>q"), SearchBudget(valuation_cap=30, seed=4)),
+        # valid with 1, 2 and 3 variables: the multiset pass settles every
+        # cell after the first
+        (parse("p -> p"), SearchBudget()),
+        (parse("[](p -> q) -> ([]p -> []q)"), SearchBudget()),
+        (parse("[](p -> q) -> ([]p -> []r \\/ []q)"), SearchBudget()),
+        # the pass finds the failure, and the cells go on to (4, 3)
+        (QUARTERS, SearchBudget(m_max=4, valuation_cap=100, seed=3)),
     ],
 )
 def test_refute_report_does_not_depend_on_jobs(conclusion, budget):
@@ -173,11 +196,13 @@ def test_refute_seeds_each_cell_with_the_budget_seed_and_the_cell():
 
 
 def test_refute_builds_one_pool_of_at_most_one_worker_per_cell(fake_pool):
-    conclusion = parse("<>(p*q) -> <>p*<>q")
+    # the first cell is scanned alone; the multiset pass finds the failure,
+    # so the 8 cells after it go to one pool
+    conclusion = parse("<>p -> []p")
     serial = refute([], conclusion)
     assert fake_pool.built == []
     assert refute([], conclusion, jobs=64).to_json() == serial.to_json()
-    assert [pool.max_workers for pool in fake_pool.built] == [9]
+    assert [pool.max_workers for pool in fake_pool.built] == [8]
     assert fake_pool.built[0].shutdowns == [(True, True)]
 
 
@@ -197,8 +222,9 @@ def test_fan_out_maps_in_order_without_a_pool_for_one_task(fake_pool):
 
 
 def test_pool_tasks_go_out_in_chunks_of_a_quarter_share(fake_pool, monkeypatch):
-    # many short audit instances share a round trip; refute's at most 9
-    # cells still go one at a time, so stopping early cancels as before
+    # many short audit instances share a round trip; refute's at most 8
+    # cells after the first still go one at a time, so stopping early
+    # cancels as before
     calls = []
 
     def recording_map(self, fn, tasks, chunksize=1):
@@ -208,9 +234,9 @@ def test_pool_tasks_go_out_in_chunks_of_a_quarter_share(fake_pool, monkeypatch):
     monkeypatch.setattr(fake_pool, "map", recording_map)
     tasks = list(range(-50, 50))
     assert list(fan_out(abs, tasks, jobs=3)) == [abs(t) for t in tasks]
-    refute([], parse("<>(p*q) -> <>p*<>q"), jobs=64)
-    refute([], parse("<>(p*q) -> <>p*<>q"), jobs=2)
-    assert calls == [(100, 3, 8), (9, 9, 1), (9, 2, 1)]
+    refute([], parse("<>p -> []p"), jobs=64)
+    refute([], parse("<>p -> []p"), jobs=2)
+    assert calls == [(100, 3, 8), (8, 8, 1), (8, 2, 1)]
 
 
 def test_refute_re_verifies_every_hit(monkeypatch):
@@ -225,24 +251,9 @@ def test_refute_re_verifies_every_hit(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# settling sampled cells by row multisets
+# settling the cells after the first by row multisets
 # ---------------------------------------------------------------------------
 
-_QUARTER = "((p -> ~(p (+) p (+) p)) /\\ (~(p (+) p (+) p) -> p))"  # 1 iff p = 1/4
-_HALF = "((p -> ~p) /\\ (~p -> p))"  # 1 iff p = 1/2
-_THREE_QUARTERS = _QUARTER.replace("p", "~p")  # 1 iff p = 3/4
-
-
-def _crisp(text):
-    # x * x * x * x is 1 at x = 1 and 0 at x <= 3/4, so on L_m with m <= 4
-    # this is 1 where <>text is 1 and 0 elsewhere
-    return " * ".join([f"<>{text}"] * 4)
-
-
-# fails only in cell (4, 3): three worlds with p = 1/4, 1/2 and 3/4; at
-# cap 100 that cell is sampled, its 55 row multisets are fewer, and the
-# multiset pass finds the failure and sends the claim on to the cell
-QUARTERS = parse(f"~({_crisp(_QUARTER)} * {_crisp(_HALF)} * {_crisp(_THREE_QUARTERS)})")
 SETTLE_BUDGETS = [
     SearchBudget(m_max=m_max, n_max=n_max, valuation_cap=cap, seed=3)
     for m_max in range(1, 5)
@@ -333,23 +344,39 @@ def test_refute_settle_route_mutations_show_in_the_reports(per_cell_reports, mon
     # a pass that always says "dirty" leaves the per-cell route as it was
     monkeypatch.setattr(enumeration, "multisets_clean", lambda *args: False)
     assert _settle_reports(claims) == expected
-    # one that always says "clean" hides hits, and only hits in sampled cells
+    # one that always says "clean" hides exactly the hits after the first
+    # cell in the cells the pass stands for
     monkeypatch.setattr(enumeration, "multisets_clean", lambda *args: True)
     got = _settle_reports(claims)
-    budgets = SETTLE_BUDGETS * len(claims)
-    changed = [(e, b) for g, e, b in zip(got, expected, budgets) if g != e]
-    assert changed
-    for report, budget in changed:
-        assert report["verdict"] == "countermodel"
-        nvars = len(report["valuation"])
-        size = enumeration.cell_size(report["m"], report["n"], nvars)
-        assert size > budget.valuation_cap
+    cases = [(claim, budget) for claim in claims for budget in SETTLE_BUDGETS]
+    hidden = []
+    for ((premises, conclusion), budget), report, per_cell in zip(cases, got, expected):
+        nvars = len(enumeration.compile_claim(premises, conclusion).names)
+        cap = budget.valuation_cap
+        grid = [(m, n) for m in range(1, budget.m_max + 1) for n in range(1, budget.n_max + 1)]
+        cells = sorted(grid, key=lambda cell: ((cell[0] + 1) ** (cell[1] * nvars), cell[1]))
+        route = _written_out_route(cells, nvars, cap, enumeration._GRIDS.max_bytes, False)
+        if route is None or per_cell["verdict"] == "exhausted" or per_cell["cells_visited"] == 1:
+            assert report == per_cell
+            continue
+        size = enumeration.cell_size(per_cell["m"], per_cell["n"], nvars)
+        hidden.append(size <= cap)
+        assert report == {
+            "verdict": "exhausted",
+            "cells_visited": len(cells),
+            "cells": [[m, n] for m, n in cells],
+            "assignments": sum(min(enumeration.cell_size(m, n, nvars), cap) for m, n in cells),
+            "seed": budget.seed,
+            "caveat": EXHAUSTED_CAVEAT,
+        }
+    # hits in exhaustive cells and in sampled ones are hidden
+    assert True in hidden and False in hidden
 
 
 # Which cells are scanned before the multiset pass, and whether it runs, for
-# refute and the audit, against the rules each of them applied before
-# `scan_cells` owned the route.  The scan and the pass are fakes that only
-# record their calls, so a moved route shows even where reports cannot.
+# refute and the audit, against the rules written out below.  The scan and
+# the pass are fakes that only record their calls, so a moved route shows
+# even where reports cannot.
 
 ROUTE_BOUNDS = [
     (m_max, n_max, nvars) for m_max in range(1, 6) for n_max in range(1, 4) for nvars in (1, 2, 3)
@@ -362,15 +389,14 @@ def _written_out_route(cells, nvars, cap, cache_bytes, audit):
     tops = range(m_max // 2 + 1, m_max + 1)
     multisets = sum(comb((m + 1) ** nvars + n_max - 1, n_max) for m in tops)
     cached = multisets * nvars * n_max * 2 <= cache_bytes  # int16 grids
-    sizes = [(m + 1) ** (n * nvars) for m, n in cells]
-    if audit:
-        covered = sum(size if size <= cap else cap for size in sizes)
-        settles = multisets <= covered and (cached or all(size <= cap for size in sizes))
-        return [] if settles else None
-    split = next((i for i, size in enumerate(sizes) if size > cap), len(cells))
-    if split < len(cells) and cached and multisets <= cap * (len(cells) - split):
-        return cells[:split]
-    return None
+    # the audit settles every cell; refute scans its first cell alone, and
+    # the pass stands for the cells after it
+    first = 0 if audit else 1
+    sizes = [(m + 1) ** (n * nvars) for m, n in cells[first:]]
+    covered = sum(size if size <= cap else cap for size in sizes)
+    exhaustive = all(size <= cap for size in sizes)
+    settles = bool(sizes) and multisets <= covered and (cached or exhaustive)
+    return cells[:first] if settles else None
 
 
 @pytest.mark.parametrize("cache_bytes", [16 << 20, 1 << 20])
@@ -417,10 +443,10 @@ def test_multiset_route_is_the_written_out_rules(cap, cache_bytes, monkeypatch):
                 assert events == expected, (audit, m_max, n_max, nvars)
                 seen.add((audit, before is None, bool(before)))
     # (audit, no pass, cells scanned before the pass): either caller may
-    # settle or not, and refute settles after exhaustive cells at low caps
-    assert {(False, True, False), (True, False, False), (True, True, False)} <= seen
-    if cap <= 10**5:
-        assert (False, False, True) in seen
+    # settle or not, and refute settles only after its first cell
+    assert seen == {
+        (False, True, False), (False, False, True), (True, False, False), (True, True, False)
+    }
 
 
 def test_no_multiset_route_past_int64_ranks(monkeypatch):
