@@ -36,11 +36,11 @@ passes `2 * bound < 2**62` and holds Python integers (dtype object)
 otherwise, so nothing overflows silently.  Fractions appear only at the
 boundary: parsing, carriers and labels (made once from sorted integer
 rows), and the returned `Representation.mapping` and `FepEmbedding.mapping`.
-`fep_embed` runs its input checks, deduplication and witnesses on the
-scaled family, and both verifiers scale the images that are returned and
-check them, injectivity included, on integers.  The only tables are
-read-only int32 index arrays, so `validate`, filters, classification and
-width checks ask each question for all elements at once by fancy indexing.
+`fep_embed` and both verifiers work on scaled integers, injectivity checks
+included.  Tables are read-only int32 index arrays, so `validate`, filters,
+classification and width checks ask each question of all elements at once
+via fancy indexing.  A closure repeats a round, a -> b and exists a for
+all rows; the round that adds nothing is the algebra's table.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ from .syntax import InputError
 
 _ZERO = Fraction(0)
 
-# Values per block in the pairwise kernels, n per pair of n-wide rows: a
-# candidate block of the closure holds at most 2 * _BLOCK values.
+# Values per block in the pairwise kernels, n per pair of n-wide rows; a
+# block of a closure round holds at least one row of pairs.
 _BLOCK = 1 << 16
 
 
@@ -332,46 +332,22 @@ class FiniteMonadicAlgebra:
         if carrier[0] != core.const_tuple(_ZERO, n):
             raise AlgebraError("carrier lacks the zero tuple")
         rows, _ = _scaled(carrier, n, m)
-        return cls._from_rows(m, n, rows, _keys(rows, m + 1), generators, check)
-
-    @classmethod
-    def _from_rows(cls, m: int, n: int, rows: np.ndarray, keys: np.ndarray, generators, check):
-        """The algebra on distinct rows over m with ascending keys, zero row first."""
         carrier = [_fractions(row, m) for row in rows.tolist()]
         labels = [_element_label(e) for e in carrier]
-
-        def not_closed(description: str, row: np.ndarray) -> AlgebraError:
-            return AlgebraError(
-                f"carrier is not closed: {description} gives "
-                f"{_element_label(_fractions(row, m))}"
+        impl, exists, missing, _ = _round(rows, _keys(rows, m + 1), m, len(rows))
+        if len(missing):
+            # the first pair in row-major order, else the first sup
+            pair = _first(impl < 0)
+            if pair is not None:
+                a, b = pair
+                description, row = f"{labels[a]} -> {labels[b]}", _impl(rows[a], rows[b], m)
+            else:
+                a = _first(exists < 0)[0]
+                description, row = f"exists {labels[a]}", [rows[a].max()] * n
+            raise AlgebraError(
+                f"carrier is not closed: {description} gives {_element_label(_fractions(row, m))}"
             )
-
-        size = len(rows)
-        impl = np.empty((size, size), dtype=np.int32)
-        for block in _row_blocks(size, size * n):
-            found = _find(keys, _keys(_impl(rows[block, None], rows, m), m + 1))
-            missing = _first(found < 0)
-            if missing is not None:
-                a, b = block.start + missing[0], missing[1]
-                raise not_closed(f"{labels[a]} -> {labels[b]}", _impl(rows[a], rows[b], m))
-            impl[block] = found
-        sups = np.repeat(rows.max(axis=1, keepdims=True), n, axis=1)
-        exists = _find(keys, _keys(sups, m + 1))
-        missing = _first(exists < 0)
-        if missing is not None:
-            a = missing[0]
-            raise not_closed(f"exists {labels[a]}", sups[a])
-        return cls(
-            labels=labels,
-            impl=impl,
-            zero=0,
-            exists=exists,
-            m=m,
-            n=n,
-            carrier=carrier,
-            generators=generators,
-            check=check,
-        )
+        return cls(labels, impl, 0, exists, m, n, carrier, generators, check)
 
     # -- identity checking
 
@@ -447,9 +423,12 @@ def generate_subalgebra(
 ) -> FiniteMonadicAlgebra:
     """Close the generators under implication, 0, and the sup-quantifier.
 
-    The closure inside a finite power is finite; `max_size` guards against
-    blowing up on large chains, and is checked after every block of
-    candidates, so a round stops as soon as the closure passes it.
+    Each round looks up a -> b and exists a for all rows so far and adds
+    the results that are missing; the round that adds nothing gives the
+    algebra's tables.  The closure inside a finite power is finite;
+    `max_size` guards against blowing up on large chains, and is checked
+    after every block of a round, so a round stops as soon as the closure
+    passes it.
     """
     generators = tuple(generators)
     for element in generators:
@@ -458,38 +437,50 @@ def generate_subalgebra(
                 f"generator {_element_label(element)} is not an n-tuple over the m-chain"
             )
     rows, _ = _scaled((core.const_tuple(_ZERO, n),) + generators, n, m)
-    keys, first = np.unique(_keys(rows, m + 1), return_index=True)
-    closure = rows[first]  # rows of the closure, in ascending key order
-    if len(keys) > max_size:
-        raise AlgebraError(f"closure exceeds {max_size} elements")
-    frontier = closure
-    while len(frontier):
-        fresh_keys, fresh = keys[:0], closure[:0]
-        for candidates in _closure_candidates(frontier, closure, m):
-            found, first = np.unique(_keys(candidates, m + 1), return_index=True)
-            new = (_find(keys, found) < 0) & (_find(fresh_keys, found) < 0)
-            fresh_keys = np.concatenate([fresh_keys, found[new]])
-            fresh = np.concatenate([fresh, candidates[first[new]]])
-            order = np.argsort(fresh_keys, kind="stable")
-            fresh_keys, fresh = fresh_keys[order], fresh[order]
-            if len(keys) + len(fresh_keys) > max_size:
-                raise AlgebraError(f"closure exceeds {max_size} elements")
-        order = np.argsort(np.concatenate([keys, fresh_keys]), kind="stable")
-        keys = np.concatenate([keys, fresh_keys])[order]
-        closure = np.concatenate([closure, fresh])[order]
-        frontier = fresh
-    return FiniteMonadicAlgebra._from_rows(m, n, closure, keys, generators, check=False)
+    keys = _keys(rows, m + 1)
+    while True:
+        keys, first = np.unique(keys, return_index=True)
+        rows = rows[first]  # the closure so far, in ascending key order
+        if len(keys) > max_size:
+            raise AlgebraError(f"closure exceeds {max_size} elements")
+        impl, exists, fresh_keys, fresh = _round(rows, keys, m, max_size)
+        if not len(fresh_keys):
+            break
+        keys, rows = np.concatenate([keys, fresh_keys]), np.concatenate([rows, fresh])
+    carrier = [_fractions(row, m) for row in rows.tolist()]
+    labels = [_element_label(e) for e in carrier]
+    return FiniteMonadicAlgebra(labels, impl, 0, exists, m, n, carrier, generators, check=False)
 
 
-def _closure_candidates(
-    frontier: np.ndarray, closure: np.ndarray, m: int
-) -> Iterable[np.ndarray]:
-    """Blocks of exists a, a -> b and b -> a for a in the frontier, b in the closure."""
-    yield np.repeat(frontier.max(axis=1, keepdims=True), frontier.shape[1], axis=1)
-    for block in _row_blocks(len(frontier) * len(closure), frontier.shape[1]):
-        index = np.arange(block.start, block.stop)
-        a, b = frontier[index // len(closure)], closure[index % len(closure)]
-        yield np.concatenate([_impl(a, b, m), _impl(b, a, m)])
+def _round(rows: np.ndarray, keys: np.ndarray, m: int, limit: int) -> tuple[np.ndarray, ...]:
+    """One closure round: a -> b and exists a for all distinct, key-sorted rows.
+
+    Returns the implication table and the exists column as row positions,
+    -1 where a result is not a row, and the missing results as sorted keys
+    and their rows.  The round stops after the first block (a `_row_blocks`
+    slice of a, or the exists column last) that takes the rows and the
+    missing results past `limit`, and leaves the entries after it -1.
+    """
+    size, n = rows.shape
+    impl = np.full((size, size), -1, dtype=np.int32)
+    exists = np.full(size, -1, dtype=np.int32)
+    fresh_keys, fresh = keys[:0], rows[:0]
+    blocks = itertools.chain(
+        ((impl[block], _impl(rows[block, None], rows, m)) for block in _row_blocks(size, size * n)),
+        [(exists, np.repeat(rows.max(axis=1, keepdims=True), n, axis=1))],
+    )
+    for table, results in blocks:
+        found = _keys(results, m + 1)
+        table[...] = _find(keys, found)
+        missing = table < 0
+        if missing.any():
+            fresh_keys, first = np.unique(
+                np.concatenate([fresh_keys, found[missing]]), return_index=True
+            )
+            fresh = np.concatenate([fresh, results[missing]])[first]
+            if size + len(fresh_keys) > limit:
+                break
+    return impl, exists, fresh_keys, fresh
 
 
 # ---------------------------------------------------------------------------

@@ -471,6 +471,16 @@ def proof_to_json(proof: Proof) -> dict:
 # ---------------------------------------------------------------------------
 # Audit: axiom soundness over valuation grids
 
+# A random formula has on average 0.3 * 1 + 0.5 * 2 = 1.3 children per node,
+# so past ~30 levels one instance is already too large to scan; deeper
+# requests are refused, well before `random_formula` meets the recursion limit.
+_MAX_DEPTH = 100
+
+
+def _check_depth(max_depth: int) -> None:
+    if max_depth > _MAX_DEPTH:
+        raise InputError(f"max_depth must be <= {_MAX_DEPTH}, got {max_depth}")
+
 
 @dataclass(frozen=True, slots=True)
 class AuditViolation:
@@ -556,11 +566,12 @@ def axiom_soundness_audit(
     Every cell (m, n) with m <= m_max, n <= n_max is enumerated exhaustively
     when it has at most `cap` assignments and sampled uniformly otherwise.
     Violations are re-verified through the exact scalar route before being
-    reported.  Raises InputError before any work for a negative trial count
-    or a budget `search.SearchBudget` rejects, and before scanning any cell
-    when one within the cap is too large to index (see
-    `enumeration.check_cell`).  The distinct instances of all schemas go
-    through one `search.fan_out`, so the report does not depend on jobs.
+    reported.  Raises InputError before any work for a negative trial count,
+    a `max_depth` past `_MAX_DEPTH` or a budget `search.SearchBudget`
+    rejects, and before scanning any cell when one within the cap is too
+    large to index (see `enumeration.check_cell`).  The distinct instances
+    of all schemas go through one `search.fan_out`, so the report does not
+    depend on jobs.
 
     A valid instance may be settled by one pass over row multisets before
     any cell, when `search.scan_cells` finds that this pays; it reports the
@@ -569,6 +580,7 @@ def axiom_soundness_audit(
     if axioms is None:
         axioms = DEFAULT_AXIOMS
     check_trials(trials)
+    _check_depth(max_depth)
     search.SearchBudget(m_max=m_max, n_max=n_max, valuation_cap=cap, seed=seed)
     report = AxiomAuditReport(
         m_max=m_max, n_max=n_max, cap=cap, seed=seed, trials=trials,
@@ -649,6 +661,7 @@ def derived_rule_audit(
     if rule not in DERIVED_RULES:
         raise ValueError(f"unknown rule {rule!r}; expected one of {DERIVED_RULES}")
     check_trials(trials, m_max=m_max, n_max=n_max)
+    _check_depth(max_depth)
     rng = random.Random(seed)
     report = RuleAuditReport(rule=rule, trials=trials, applicable=0, seed=seed)
     for _ in range(trials):

@@ -91,6 +91,8 @@ class SearchBudget:
     def __post_init__(self):
         if self.m_max < 1 or self.n_max < 1:
             raise InputError("m_max and n_max must be >= 1")
+        if self.n_max > core.MAX_WORLDS:  # as many as a model may have
+            raise InputError(f"at most {core.MAX_WORLDS} worlds are supported, got {self.n_max}")
         if self.valuation_cap < 1:
             raise InputError("valuation_cap must be >= 1")
 

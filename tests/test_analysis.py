@@ -116,26 +116,53 @@ def test_generation_respects_max_size():
         generate_subalgebra(2, 2, [(F(1), F(1, 2))], max_size=4)
 
 
+@pytest.mark.parametrize("block", [analysis._BLOCK, 1])
+def test_generation_accepts_a_closure_of_exactly_max_size(block, monkeypatch):
+    monkeypatch.setattr(analysis, "_BLOCK", block)
+    assert generate_subalgebra(2, 2, [(F(1), F(1, 2))], max_size=9).size == 9
+    with pytest.raises(AlgebraError, match="^closure exceeds 8 elements$"):
+        generate_subalgebra(2, 2, [(F(1), F(1, 2))], max_size=8)
+
+
+@pytest.mark.parametrize("block", [analysis._BLOCK, 3])
+def test_generation_closes_a_chain_over_many_rounds(block, monkeypatch):
+    # 1/m generates L_m a few elements at a time: ten rounds at m = 60
+    monkeypatch.setattr(analysis, "_BLOCK", block)
+    rounds = []
+    round_ = analysis._round
+
+    def spy(rows, *args):
+        rounds.append(len(rows))
+        return round_(rows, *args)
+
+    monkeypatch.setattr(analysis, "_round", spy)
+    for m in range(1, 61):
+        chain = FiniteMonadicAlgebra.from_carrier(m, 1, core.enumerate_power(m, 1))
+        rounds.clear()
+        assert _tables(generate_subalgebra(m, 1, [(F(1, m),)])) == _tables(chain)
+    assert len(rounds) == 10
+
+
 def test_generation_stops_inside_a_large_round(monkeypatch):
-    # 300 Boolean generators on 12 points make a first round of ~180,000
-    # candidates; the limit must stop it after a few blocks, each bounded
+    # 300 Boolean generators on 12 points make a first round of ~90,000
+    # implications; the limit must stop it after a few blocks, each bounded
     rng = random.Random(5)
     generators = list(
         {tuple(F(rng.randint(0, 1)) for _ in range(12)) for _ in range(300)}
     )
     blocks = []
-    candidates = analysis._closure_candidates
+    row_blocks = analysis._row_blocks
 
-    def spy(*args):
-        for block in candidates(*args):
-            blocks.append(len(block))
+    def spy(rows, values_per_row):
+        for block in row_blocks(rows, values_per_row):
+            blocks.append((block.stop - block.start) * values_per_row // 12)  # results
             yield block
 
     monkeypatch.setattr(analysis, "_BLOCK", 1024)
-    monkeypatch.setattr(analysis, "_closure_candidates", spy)
+    monkeypatch.setattr(analysis, "_row_blocks", spy)
     with pytest.raises(AlgebraError, match="closure exceeds 400 elements"):
         generate_subalgebra(1, 12, generators, max_size=400)
-    full_round = 2 * (len(generators) + 1) ** 2
+    full_round = (len(generators) + 1) ** 2
     assert max(blocks) <= 2 * 1024
     assert sum(blocks) < full_round // 20
 

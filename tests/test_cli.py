@@ -381,6 +381,28 @@ def test_audits_reject_budgets_that_check_nothing(runner, args, message):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("audit", "axioms", "--max-depth", "101", "--trials", "1"), "max_depth must be <= 100, got 101"),
+        (("audit", "axioms", "--max-depth", "1000", "--trials", "1"), "max_depth must be <= 100, got 1000"),
+        (("refute", "--formula", "p", "--n-max", "65537"), "at most 65536 worlds are supported, got 65537"),
+        (
+            ("refute", "--formula", "p", "--n-max", "100000000"),
+            "at most 65536 worlds are supported, got 100000000",
+        ),
+        (
+            ("audit", "axioms", "--n-max", "100000000", "--trials", "1"),
+            "at most 65536 worlds are supported, got 100000000",
+        ),
+    ],
+)
+def test_oversized_depths_and_world_counts_exit_2(runner, args, message):
+    result = invoke(runner, *args)
+    assert result.exit_code == 2
+    assert result.output == f"error: {message}\n"
+
+
 def test_audit_boxinf_clean(runner):
     result = invoke(
         runner, "audit", "boxinf", "--trials", "40", "--json"

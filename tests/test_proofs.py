@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from mmv import enumeration
+from mmv import enumeration, proofs
 from mmv.proofs import (
     ACCEPT,
     ACCEPT_BOUNDED,
@@ -34,7 +34,7 @@ from mmv.proofs import (
 )
 from mmv.randgen import random_instance
 from mmv.semantics import SafeStructure, evaluate
-from mmv.syntax import parse, print_formula, schema
+from mmv.syntax import InputError, parse, print_formula, schema
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus" / "proofs"
 
@@ -375,6 +375,32 @@ def test_axiom_audit_small_run_is_clean_and_deterministic():
     assert first.to_json() == second.to_json()
     assert set(first.assignments) == set(axiom_table())
     assert all(count > 0 for count in first.assignments.values())
+
+
+@pytest.mark.parametrize("depth", [proofs._MAX_DEPTH + 1, 1000])
+def test_audits_refuse_depths_past_the_bound_before_any_draw(depth, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a formula before checking max_depth")
+
+    monkeypatch.setattr(proofs, "random_instance", no_draw)
+    monkeypatch.setattr(proofs, "random_formula", no_draw)
+    message = f"^max_depth must be <= {proofs._MAX_DEPTH}, got {depth}$"
+    with pytest.raises(InputError, match=message):
+        axiom_soundness_audit(trials=1, max_depth=depth)
+    with pytest.raises(InputError, match=message):
+        derived_rule_audit("prelinearity", trials=1, max_depth=depth)
+
+
+@pytest.mark.parametrize("depth", [-1, -7])
+def test_audits_draw_leaves_at_depths_below_zero(depth):
+    # the bound leaves small depths alone: at or below 0 every draw is a leaf
+    options = dict(trials=4, m_max=2, n_max=2, seed=5)
+    assert axiom_soundness_audit(max_depth=depth, **options).to_json() == (
+        axiom_soundness_audit(max_depth=0, **options).to_json()
+    )
+    assert derived_rule_audit("prelinearity", max_depth=depth, **options).to_json() == (
+        derived_rule_audit("prelinearity", max_depth=0, **options).to_json()
+    )
 
 
 def test_axiom_audit_parallel_matches_serial():

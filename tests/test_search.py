@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from mmv import enumeration
+from mmv.core import MAX_WORLDS
 from mmv.proofs import DEFAULT_AXIOMS, axiom_soundness_audit, width_schema
 from mmv.randgen import random_formula, random_instance, random_valuation
 from mmv.search import (
@@ -535,11 +536,17 @@ def test_boxinf_formula_shapes():
         ({"m_max": 0}, "m_max and n_max must be >= 1"),
         ({"n_max": 0}, "m_max and n_max must be >= 1"),
         ({"valuation_cap": 0}, "valuation_cap must be >= 1"),
+        ({"n_max": MAX_WORLDS + 1}, f"at most {MAX_WORLDS} worlds are supported, got {MAX_WORLDS + 1}"),
+        ({"n_max": 10**8}, f"at most {MAX_WORLDS} worlds are supported, got {10**8}"),
     ],
 )
 def test_budget_validation(kwargs, message):
     with pytest.raises(ValueError, match=message):
         SearchBudget(**kwargs)
+
+
+def test_budget_allows_as_many_worlds_as_a_model():
+    assert SearchBudget(n_max=MAX_WORLDS).n_max == MAX_WORLDS
 
 
 # ---------------------------------------------------------------------------
