@@ -5,15 +5,18 @@ chain {0, 1/m, ..., 1} means (m+1)^(n*v) assignments.  Doing that with
 Fraction objects is hopeless at the sizes the search and audit commands need,
 so this module evaluates vectorized over a whole block of assignments at
 once: the chain is represented by integers 0..m (k standing for k/m), under
-which every operation has an exact integer form:
+which every operation has an exact integer form.  The kernel reads m only
+through `top`, a (1, A) row holding each assignment's m:
 
-    neg a    = m - a              impl a b = min(m, m - a + b)
-    star a b = max(0, a + b - m)  oplus a b = min(m, a + b)
-    meet/join = min/max           box/dia   = min/max over the worlds
+    neg a    = top - a              impl a b = min(top, b - a + top)
+    star a b = max(0, a + b - top)  oplus a b = min(top, a + b)
+    meet/join = min/max             box/dia   = min/max over the worlds
 
-The scaling k <-> k/m is an isomorphism onto the Fraction arithmetic in
-`mmv.core`, so results are exact; callers re-verify hits through the scalar
-route anyway.
+and a value holds where it equals `top`.  The per-cell scan fills the row
+with its one m; a block of row multisets may hold assignments over two
+chains.  The scaling k <-> k/m is an isomorphism onto the Fraction
+arithmetic in `mmv.core`, so results are exact; callers re-verify hits
+through the scalar route anyway.
 
 A claim, premises and a target, is compiled once (`compile_claim`) into a
 hash-consed op list in topological order: structurally equal subformulas
@@ -57,14 +60,24 @@ worlds: permuting worlds or duplicating one changes no value.  A failure,
 every premise 1 at every world and the target below 1 at some world, is
 therefore still a failure with n' worlds once some world is repeated up to
 n worlds, and one multiset of n rows stands for every ordering of them.
+Nor does a failure need many worlds.  Keep the world where the target
+fails and, for each box or dia op of the compiled program, one world where
+its operand attains the inf or sup; every op then has the same value at
+the kept worlds as before, op by op in program order.  So a claim that
+fails on some cell fails on at most k* = `_Program.worlds` = 1 + (the
+number of box and dia ops) of its worlds, and multisets of
+min(n_max, k*) rows stand for every n <= n_max.
 The chain L_m' is a subalgebra of L_m whenever m' divides m (k/m' is
 (k m/m')/m), so a failure over L_m' is a failure over L_m.  Every
 m' <= m_max divides its largest multiple below m_max + 1, and that multiple
 divides no larger m <= m_max.  Hence a claim has no failure in any
 assignment of any cell m <= m_max, n <= n_max exactly when it has none in
-any multiset of n_max rows over L_m^v, for each m in m_max // 2 + 1 ..
-m_max (the m that divide no larger m <= m_max, since m divides 2m).  At
-m_max = n_max = v = 3 that is C(66, 3) + C(29, 3) = 49,414 multisets
+any multiset of min(n_max, k*) rows over L_m^v, for each m in m_max // 2
++ 1 .. m_max (the m that divide no larger m <= m_max, since m divides 2m).
+Those multisets, top after top in m order, form one sequence, decoded in
+chunks of `_CHUNK` at the dtype of m_max with their (1, A) rows of m, so a
+chunk may span two tops and a whole pass is one kernel call per chunk.  At
+m_max = v = 3 and k* >= 3 that is C(66, 3) + C(29, 3) = 49,414 multisets
 against the 287,327 assignments of the nine cells.
 """
 
@@ -75,7 +88,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from math import comb
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -148,7 +161,9 @@ class _Program:
     indices of the operands.  `steps[k]` lists, in order, the ops root k
     needs that earlier roots do not.  Every other op writes into scratch
     slot `slots[op]` of `width` (variables and constants have slot -1), and
-    `flat[op]` says its value does not depend on the world.
+    `flat[op]` says its value does not depend on the world.  `worlds` is 1
+    plus the number of box and dia ops: a claim that fails at all fails on
+    that many worlds (see the module docstring).
     """
 
     names: tuple[str, ...]
@@ -158,6 +173,7 @@ class _Program:
     slots: tuple[int, ...]
     width: int
     flat: tuple[bool, ...]
+    worlds: int
 
 
 def _compile(formulas: Sequence[Formula]) -> _Program:
@@ -238,15 +254,16 @@ def _compile(formulas: Sequence[Formula]) -> _Program:
     ops = [(_VAR, slot[op[1]], None) if op[0] == _VAR else op for op in ops]
     return _Program(
         names, tuple(ops), tuple(roots), tuple(tuple(run) for run in steps),
-        tuple(slots), width, tuple(flat),
+        tuple(slots), width, tuple(flat), 1 + sum(op[0] in (_BOX, _DIA) for op in ops),
     )
 
 
 class _Scratch:
     """The arena's views for one block shape: `views[flat][slot]` is slot
     `slot` as an (n, A) array, or as a (1, A) array when `flat`; `bottom`
-    and `top` are (1, A) rows of 0s and of ms, `row` a (1, A) row to fold
-    into, and `holds` and `mask` boolean (A,) masks."""
+    is a (1, A) row of 0s, `top` a (1, A) row a cell's m is written to,
+    `row` a (1, A) row to fold into, and `holds` and `mask` boolean (A,)
+    masks."""
 
     __slots__ = ("views", "bottom", "top", "row", "holds", "mask")
 
@@ -255,29 +272,35 @@ class _Arena:
     """Scratch memory the kernel writes into, kept for the life of the process.
 
     Buffer s backs slot s of every program; `rows` backs the rows and masks
-    of `_Scratch`, which every block shape shares, so `bottom` and `top`
-    are filled again whenever the shape or m changes.  A buffer is replaced
-    by a larger one only when a block needs more bytes than it has.  Views
-    are cached for up to 256 block shapes (n, A, dtype).
+    of `_Scratch`, which every block shape shares, so `bottom` is filled
+    again whenever the shape changes, and `top` whenever the shape or m
+    does.  A buffer is replaced by a larger one only when a block needs more
+    bytes than it has.  Views are cached for up to 256 block shapes (n, A,
+    dtype).
     """
 
     def __init__(self):
         self.buffers: list[np.ndarray] = []
         self.rows = np.empty(0, dtype=np.uint8)
         self._scratch: dict[tuple, _Scratch] = {}
-        self._filled: tuple | None = None  # the shape and m `rows` holds
+        self._shape: tuple | None = None  # the shape whose rows `rows` holds
+        self._m: int | None = None  # and the m in its `top`
 
-    def scratch(self, m: int, n: int, block: int, dtype: np.dtype, width: int) -> _Scratch:
+    def scratch(
+        self, n: int, block: int, dtype: np.dtype, width: int, m: int | None = None
+    ) -> _Scratch:
         """Views of the first `width` slots and of the rows for a block of n
-        worlds and `block` assignments, with `top` filled with m."""
+        worlds and `block` assignments, with `top` filled with m if given."""
         key = (n, block, np.dtype(dtype))
         scratch = self._scratch.get(key)
         if scratch is None or len(scratch.views[0]) < width:
             scratch = self._views(*key, width)
-        if self._filled != (key, m):
+        if self._shape != key:
             scratch.bottom.fill(0)
+            self._shape, self._m = key, None
+        if m is not None and self._m != m:
             scratch.top.fill(m)
-            self._filled = (key, m)
+            self._m = m
         return scratch
 
     def _grow(self, buffer: np.ndarray, nbytes: int) -> np.ndarray:
@@ -285,7 +308,7 @@ class _Arena:
         if buffer.nbytes >= nbytes:
             return buffer
         self._scratch.clear()  # their views would keep the old buffer alive
-        self._filled = None
+        self._shape = self._m = None
         return np.empty(nbytes, dtype=np.uint8)
 
     def _views(self, n: int, block: int, dtype: np.dtype, width: int) -> _Scratch:
@@ -327,20 +350,20 @@ def _run(
     program: _Program,
     root: int,
     grid: Sequence[np.ndarray],
-    m: int,
+    top: np.ndarray,
     scratch: _Scratch,
     values: list,
 ) -> np.ndarray:
     """Evaluate root `root` on a block; `values` carries ops across roots.
 
-    `grid[slot]` is the (n, A) block of the variable in that slot.  Every
-    other op writes into its slot's view in `scratch`: (n, A), or (1, A)
-    when it does not depend on the world.  Clamping goes against the rows of
-    0s and ms, not against scalars: numpy's min/max with a scalar operand
-    are several times slower.
+    `grid[slot]` is the (n, A) block of the variable in that slot, and `top`
+    the (1, A) row of each assignment's m.  Every other op writes into its
+    slot's view in `scratch`: (n, A), or (1, A) when it does not depend on
+    the world.  Clamping goes against the rows of 0s and ms, not against
+    scalars: numpy's min/max with a scalar operand are several times slower.
     """
     ops, slots, flat, views = program.ops, program.slots, program.flat, scratch.views
-    bottom, top = scratch.bottom, scratch.top
+    bottom = scratch.bottom
     for index in program.steps[root]:
         code, a, b = ops[index]
         if code == _VAR:
@@ -351,18 +374,18 @@ def _run(
             continue
         out = views[flat[index]][slots[index]]
         if code == _NOT:
-            np.subtract(m, values[a], out=out)
+            np.subtract(top, values[a], out=out)
         elif code == _BOX:
             _fold_rows(np.minimum, values[a], out)
         elif code == _DIA:
             _fold_rows(np.maximum, values[a], out)
         elif code == _IMPL:
             np.subtract(values[b], values[a], out=out)
-            out += m
+            out += top
             np.minimum(out, top, out=out)
         elif code == _STAR:
             np.add(values[a], values[b], out=out)
-            out -= m
+            out -= top
             np.maximum(out, bottom, out=out)
         elif code == _OPLUS:
             np.add(values[a], values[b], out=out)
@@ -375,11 +398,13 @@ def _run(
     return values[program.roots[root]]
 
 
-def _holds(value: np.ndarray, m: int, scratch: _Scratch, out: np.ndarray) -> np.ndarray:
+def _holds(
+    value: np.ndarray, top: np.ndarray, scratch: _Scratch, out: np.ndarray
+) -> np.ndarray:
     """Mask over the block, written to `out`: is the value 1 at every world?"""
     if len(value) > 1:
         value = _fold_rows(np.minimum, value, scratch.row)
-    return np.equal(value[0], m, out=out)
+    return np.equal(value[0], top[0], out=out)
 
 
 def eval_bulk(formula: Formula, arrays: Mapping[str, np.ndarray], m: int) -> np.ndarray:
@@ -395,8 +420,8 @@ def eval_bulk(formula: Formula, arrays: Mapping[str, np.ndarray], m: int) -> np.
     except KeyError as exc:
         raise ValueError(f"no assignment block for variable {exc.args[0]!r}") from None
     n, block = np.broadcast_shapes(*(g.shape for g in grid)) if grid else (1, 1)
-    scratch = _ARENA.scratch(m, n, block, np.result_type(np.int32, *grid), program.width)
-    value = _run(program, 0, grid, m, scratch, [None] * len(program.ops))
+    scratch = _ARENA.scratch(n, block, np.result_type(np.int32, *grid), program.width, m)
+    value = _run(program, 0, grid, scratch.top, scratch, [None] * len(program.ops))
     return value.T.copy() if grid else value.reshape(()).copy()
 
 
@@ -441,30 +466,60 @@ class _GridCache:
     def __init__(self, max_bytes: int):
         self.max_bytes = max_bytes
         self.nbytes = 0
-        self._chunks: OrderedDict[tuple, np.ndarray] = OrderedDict()
+        self._chunks: OrderedDict[tuple, np.ndarray | tuple] = OrderedDict()
 
-    def get(
-        self, m: int, n: int, nvars: int, start: int, stop: int, multisets: bool = False
-    ) -> np.ndarray:
-        """Assignments start..stop-1 of the cell, decoded as by `_decode`, or
-        with `multisets` the multisets start..stop-1 of n world rows
-        (`_multiset_chunk` on the rows of cell (m, 1))."""
-        key = (m, n, nvars, start, stop, "multisets") if multisets else (m, n, nvars, start, stop)
-        grid = self._chunks.get(key)
-        if grid is not None:
+    def get(self, m: int, n: int, nvars: int, start: int, stop: int) -> np.ndarray:
+        """Assignments start..stop-1 of the cell, decoded as by `_decode`."""
+        return self._cached((m, n, nvars, start, stop), _decode)
+
+    def multisets(
+        self, m_max: int, n: int, nvars: int, start: int, stop: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (nvars, n, A) grid of the multisets start..stop-1 of the
+        sequence `_multiset_chunks` lists, and the read-only (1, A) row of
+        their ms, both of dtype `_dtype(m_max)`."""
+        return self._cached((m_max, n, nvars, start, stop, "multisets"), self._multiset_chunk)
+
+    def _cached(self, key: tuple, build: Callable) -> np.ndarray | tuple:
+        chunk = self._chunks.get(key)
+        if chunk is not None:
             self._chunks.move_to_end(key)
-            return grid
-        if multisets:
-            rows = self.get(m, 1, nvars, 0, cell_size(m, 1, nvars))[:, 0]
-            grid = _multiset_chunk(rows, n, start, stop)
-        else:
-            grid = _decode(m, n, nvars, start, stop)
-        self._chunks[key] = grid
-        self.nbytes += grid.nbytes
+            return chunk
+        chunk = build(*key[:5])
+        self._chunks[key] = chunk
+        self.nbytes += _nbytes(chunk)
         while self.nbytes > self.max_bytes and len(self._chunks) > 1:
             _, old = self._chunks.popitem(last=False)
-            self.nbytes -= old.nbytes
-        return grid
+            self.nbytes -= _nbytes(old)
+        return chunk
+
+    def _multiset_chunk(
+        self, m_max: int, n: int, nvars: int, start: int, stop: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Each top's part of the chunk is unranked into indices of its rows
+        among the rows of the chunk's tops side by side, and the rows are
+        gathered once."""
+        dtype = _dtype(m_max)
+        picked = np.empty((n, stop - start), dtype=np.int64)
+        top = np.empty((1, stop - start), dtype=dtype)
+        rows = []
+        first = offset = 0  # the first multiset of m, and its rows' first column
+        for m, count in zip(_tops(m_max), _multiset_counts(m_max, n, nvars)):
+            lo, hi = max(start, first), min(stop, first + count)
+            if lo < hi:
+                part = slice(lo - start, hi - start)
+                size = cell_size(m, 1, nvars)
+                _unrank(size, n, lo - first, hi - first, picked[:, part])
+                picked[:, part] += offset
+                top[:, part] = m
+                rows.append(self.get(m, 1, nvars, 0, size)[:, 0])
+                offset += size
+            first += count
+            if first >= stop:
+                break
+        grid = np.take(np.concatenate(rows, axis=1, dtype=dtype), picked, axis=1)
+        grid.flags.writeable = top.flags.writeable = False
+        return grid, top
 
     def clear(self) -> None:
         self._chunks.clear()
@@ -510,27 +565,30 @@ def _scan_blocks(
             remaining -= block
 
 
-def _first_failure(program: _Program, grid: np.ndarray, m: int, values: list) -> int | None:
+def _first_failure(
+    program: _Program, grid: np.ndarray, top: np.ndarray, values: list
+) -> int | None:
     """Index in the grid of the first assignment where every root but the
     last (the premises) holds at every world and the last root (the target)
-    fails at some world, or None.
+    fails at some world, or None; `top` is the (1, A) row of the grid's ms.
 
     `values` is one list per scan, one entry per op, which `_run` overwrites
     block after block with views of the grid and of the arena: no array is
     allocated per block.
     """
     premises = len(program.roots) - 1
-    scratch = _ARENA.scratch(m, grid.shape[1], grid.shape[-1], grid.dtype, program.width)
+    scratch = _ARENA.scratch(grid.shape[1], grid.shape[-1], grid.dtype, program.width)
     mask = None  # where every premise so far holds
     for k in range(premises):
-        value = _run(program, k, grid, m, scratch, values)
+        value = _run(program, k, grid, top, scratch, values)
         if mask is None:
-            mask = _holds(value, m, scratch, scratch.mask)
+            mask = _holds(value, top, scratch, scratch.mask)
         else:
-            np.logical_and(mask, _holds(value, m, scratch, scratch.holds), out=mask)
+            np.logical_and(mask, _holds(value, top, scratch, scratch.holds), out=mask)
         if not mask.any():
             return None
-    holds = _holds(_run(program, premises, grid, m, scratch, values), m, scratch, scratch.holds)
+    value = _run(program, premises, grid, top, scratch, values)
+    holds = _holds(value, top, scratch, scratch.holds)
     if mask is None:
         # premise-free blocks are mostly clean, and one test settles those
         return None if holds.all() else int(np.argmin(holds))
@@ -551,7 +609,8 @@ def scan_program(program: _Program, m: int, n: int, cap: int, seed: object) -> C
     checked = 0
     values: list = [None] * len(program.ops)
     for grid in _scan_blocks(m, n, len(names), cap, seed, exhaustive):
-        hit = _first_failure(program, grid, m, values)
+        top = _ARENA.scratch(n, grid.shape[-1], grid.dtype, program.width, m).top
+        hit = _first_failure(program, grid, top, values)
         if hit is not None:
             valuation = {
                 name: tuple(Fraction(v, m) for v in row)
@@ -580,19 +639,19 @@ def scan_cell(
     return scan_program(compile_claim(premises, target), m, n, cap, seed)
 
 
-def _multiset_grids(m: int, n: int, nvars: int) -> Iterator[np.ndarray]:
-    """Yield read-only (nvars, n, A) grids of every multiset of n world rows
-    over L_m^nvars, chunk by chunk, in the order of
-    `combinations_with_replacement` over the rows; a row is an index below
-    (m+1)^nvars, decoded like the assignment of one world.  Chunks share the
-    cache of the cell grids.  Raises ValueError when there are 2**63 or more
-    multisets, which int64 ranks cannot index.
+def _multiset_chunks(m_max: int, n: int, nvars: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield, chunk by chunk, (grid, top) for every multiset of n world rows
+    over L_m^nvars for each m in `_tops(m_max)`: top after top in m order,
+    each in the order of `combinations_with_replacement` over the rows, a
+    row being an index below (m+1)^nvars decoded like the assignment of one
+    world.  Chunks share the cache of the cell grids.  Raises ValueError
+    when there are 2**63 or more multisets, which int64 ranks cannot index.
     """
-    total = comb(cell_size(m, 1, nvars) + n - 1, n)
+    total = sum(_multiset_counts(m_max, n, nvars))
     if total >= _INDEX_LIMIT:
         raise ValueError(f"{total} multisets of {n} rows need fewer than 2**63 to be ranked")
     for start in range(0, total, _CHUNK):
-        yield _GRIDS.get(m, n, nvars, start, min(start + _CHUNK, total), multisets=True)
+        yield _GRIDS.multisets(m_max, n, nvars, start, min(start + _CHUNK, total))
 
 
 @lru_cache(maxsize=32)
@@ -609,26 +668,27 @@ def _binomials(rows: int, n: int) -> tuple[np.ndarray, ...]:
     return tuple(tables)
 
 
-def _multiset_chunk(rows: np.ndarray, n: int, start: int, stop: int) -> np.ndarray:
-    """Read-only (nvars, n, A) grid of the multisets start..stop-1 of n of
-    the (nvars, R) `rows`, in the order of `combinations_with_replacement`.
+def _unrank(count: int, n: int, start: int, stop: int, out: np.ndarray) -> None:
+    """Write to the (n, stop - start) `out` the row indices of multisets
+    start..stop-1 of n out of `count` rows, in the order of
+    `combinations_with_replacement`.
 
     The multiset of rows a_1 <= ... <= a_n is the combination a_k + k - 1
-    of n out of N = R + n - 1, and lexicographic rank i is colex rank
+    of n out of N = count + n - 1, and lexicographic rank i is colex rank
     C(N, n) - 1 - i of its reflection x -> N - 1 - x.  That rank is
     unranked in the combinatorial number system (Knuth, TAOCP 4A, 7.2.1.3),
-    one `searchsorted` per position, and the rows are gathered.
+    one `searchsorted` per position.
     """
-    count = rows.shape[1]
     rank = (comb(count + n - 1, n) - 1) - np.arange(start, stop, dtype=np.int64)
-    picked = np.empty((n, stop - start), dtype=np.int64)
     for k, table in zip(range(n, 0, -1), reversed(_binomials(count, n))):
         c = np.searchsorted(table, rank, side="right") - 1
         rank -= table[c]
-        picked[n - k] = count + k - 2 - c
-    grid = np.take(rows, picked, axis=1)
-    grid.flags.writeable = False
-    return grid
+        out[n - k] = count + k - 2 - c
+
+
+def _nbytes(chunk: np.ndarray | tuple) -> int:
+    """Bytes of a cached grid, or of a multiset chunk's grid and tops."""
+    return sum(part.nbytes for part in chunk) if isinstance(chunk, tuple) else chunk.nbytes
 
 
 def _tops(m_max: int) -> range:
@@ -638,32 +698,31 @@ def _tops(m_max: int) -> range:
 
 
 @lru_cache(maxsize=256)
-def _multiset_size(m_max: int, n_max: int, nvars: int) -> tuple[int, int]:
-    """The count of the row multisets for these bounds, and their grids' bytes."""
-    counts = {m: comb(cell_size(m, 1, nvars) + n_max - 1, n_max) for m in _tops(m_max)}
-    nbytes = sum(
-        count * nvars * n_max * np.dtype(_dtype(m)).itemsize for m, count in counts.items()
-    )
-    return sum(counts.values()), nbytes
+def _multiset_counts(m_max: int, n: int, nvars: int) -> tuple[int, ...]:
+    """How many multisets of n world rows over L_m^nvars there are, for
+    each m in `_tops(m_max)`."""
+    return tuple(comb(cell_size(m, 1, nvars) + n - 1, n) for m in _tops(m_max))
 
 
-def multiset_cost(m_max: int, n_max: int, nvars: int) -> tuple[int, bool]:
-    """How many row multisets `valid_in_cells` evaluates for these bounds,
-    and whether their grids fit in the grid cache together; `search.scan_cells`
-    routes on these."""
-    count, nbytes = _multiset_size(m_max, n_max, nvars)
+def multiset_cost(m_max: int, n: int, nvars: int) -> tuple[int, bool]:
+    """How many multisets of n world rows `multisets_clean` evaluates for
+    these bounds, and whether their grids and rows of tops fit in the grid
+    cache together; `search.scan_cells` routes on these."""
+    count = sum(_multiset_counts(m_max, n, nvars))
+    nbytes = count * (nvars * n + 1) * np.dtype(_dtype(m_max)).itemsize
     return count, nbytes <= _GRIDS.max_bytes
 
 
 def multisets_clean(program: _Program, m_max: int, n_max: int) -> bool:
-    """`valid_in_cells` on a claim compiled by `compile_claim`."""
-    if n_max < 1:
+    """`valid_in_cells` on a claim compiled by `compile_claim`: one kernel
+    call per chunk of the multisets of min(n_max, `program.worlds`) rows."""
+    n = min(n_max, program.worlds)
+    if n < 1:
         return True
     values: list = [None] * len(program.ops)
     return not any(
-        _first_failure(program, grid, m, values) is not None
-        for m in _tops(m_max)
-        for grid in _multiset_grids(m, n_max, len(program.names))
+        _first_failure(program, grid, top, values) is not None
+        for grid, top in _multiset_chunks(m_max, n, len(program.names))
     )
 
 
@@ -673,9 +732,10 @@ def valid_in_cells(
     """Does the target hold at every world of every assignment of every cell
     m <= m_max, n <= n_max where every premise holds at every world?
 
-    Compiles the claim once and scans the multisets of n_max world rows
-    over L_m for each m in m_max // 2 + 1 .. m_max; the module docstring
-    shows why that decides every cell.  It does not say where a failure is:
-    callers that need a witness scan the cells with `scan_cell`.
+    Compiles the claim once and scans the multisets of min(n_max, k*) world
+    rows over L_m for each m in m_max // 2 + 1 .. m_max, k* being the
+    program's `worlds`; the module docstring shows why that decides every
+    cell.  It does not say where a failure is: callers that need a witness
+    scan the cells with `scan_cell`.
     """
     return multisets_clean(compile_claim(premises, target), m_max, n_max)

@@ -18,19 +18,21 @@ the exact scalar evaluator before it is reported.
 It alone decides the row-multiset route.  One pass over the multisets of
 world rows (`enumeration.multisets_clean`) decides every cell up to the
 largest m and n: a claim with no failure there has none in any cell.  The
-pass stands for the cells after the first (`refute`) or for all of them
-(the audit, `settle_first`).  `refute` scans its first cell, the classical
-valuations on one world, alone: most failing claims fail there, and they
-pay nothing for the route.  The pass runs only when cells are left for it,
-the multisets number fewer than 2**63 and no more than the min(size, cap)
-assignments those cells would check, and their grids fit the grid cache
-or every one of those cells is exhaustive: past the cache each claim
-decodes its multisets anew, which was no faster than the per-cell scan on
-the audit at m_max = 5, n_max = 3 (4.7-5.3 s against 4.8-5.1 s at
-trials=8, seed=11, on a 2-core host).  A clean claim then counts those
-assignments, as the per-cell scan would, without scanning the cells; any
-other is scanned on cell by cell, so first hits, seed streams and reports
-are those of the per-cell scan.
+multisets have min(n, k*) rows, k* = `_Program.worlds` being the most
+worlds a failure of the claim needs, and the route is priced at that row
+count.  The pass stands for the cells after the first (`refute`) or for
+all of them (the audit, `settle_first`).  `refute` scans its first cell,
+the classical valuations on one world, alone: most failing claims fail
+there, and they pay nothing for the route.  The pass runs only when cells
+are left for it, the multisets number fewer than 2**63 and no more than
+the min(size, cap) assignments those cells would check, and their grids
+fit the grid cache or every one of those cells is exhaustive: past the
+cache each claim decodes its multisets anew, which was no faster than the
+per-cell scan on the audit at m_max = 5, n_max = 3 (4.7-5.3 s against
+4.8-5.1 s at trials=8, seed=11, on a 2-core host).  A clean claim then
+counts those assignments, as the per-cell scan would, without scanning the
+cells; any other is scanned on cell by cell, so first hits, seed streams
+and reports are those of the per-cell scan.
 
 `fan_out` is the one place worker processes start for `jobs`; results come
 back in task order, so they do not depend on jobs.  An "exhausted" verdict
@@ -74,6 +76,10 @@ def _import_lazily(name: str) -> types.ModuleType:
 # looks `mmv.enumeration` up in sys.modules once `mmv.search` is imported.
 enumeration = _import_lazily(f"{__package__}.enumeration")
 
+# The most cells m_max * n_max a budget may have: `refute` lists them all
+# before it scans any, and the multiset route prices m_max / 2 chains.
+MAX_CELLS = 1 << 18
+
 EXHAUSTED_CAVEAT = (
     "budget exhausted without a countermodel; this does not certify validity"
 )
@@ -81,7 +87,8 @@ EXHAUSTED_CAVEAT = (
 
 @dataclass(frozen=True, slots=True)
 class SearchBudget:
-    """Bounds for the search: chain sizes, world counts, cell cap, seed."""
+    """Bounds for the search: chain sizes, world counts, cell cap, seed;
+    at most `MAX_CELLS` cells m_max * n_max."""
 
     m_max: int = 3
     n_max: int = 3
@@ -93,6 +100,11 @@ class SearchBudget:
             raise InputError("m_max and n_max must be >= 1")
         if self.n_max > core.MAX_WORLDS:  # as many as a model may have
             raise InputError(f"at most {core.MAX_WORLDS} worlds are supported, got {self.n_max}")
+        if self.m_max * self.n_max > MAX_CELLS:
+            raise InputError(
+                f"at most {MAX_CELLS} cells m_max * n_max are supported, "
+                f"got {self.m_max} * {self.n_max}"
+            )
         if self.valuation_cap < 1:
             raise InputError("valuation_cap must be >= 1")
 
@@ -268,7 +280,8 @@ def scan_cells(
     # a hit before the split pays nothing for working out the route
     m_max, n_max = max(m for m, _ in cells), max(n for _, n in cells)
     covered = sum(min(enumeration.cell_size(m, n, nvars), cap) for m, n in rest)
-    multisets, cached = enumeration.multiset_cost(m_max, n_max, nvars)
+    rows = min(n_max, program.worlds)
+    multisets, cached = enumeration.multiset_cost(m_max, rows, nvars)
     if (
         multisets < enumeration._INDEX_LIMIT
         and multisets <= covered

@@ -403,6 +403,23 @@ def test_oversized_depths_and_world_counts_exit_2(runner, args, message):
     assert result.output == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("refute", "--formula", "p", "--m-max", "100000000"),
+        ("audit", "axioms", "--m-max", "100000000", "--trials", "1"),
+        ("refute", "--formula", "p", "--m-max", "5", "--n-max", "65536"),
+    ],
+)
+def test_oversized_search_grids_exit_2(runner, args):
+    result = invoke(runner, *args)
+    assert result.exit_code == 2
+    m_max, n_max = args[args.index("--m-max") + 1], "65536" if "--n-max" in args else "3"
+    assert result.output == (
+        f"error: at most 262144 cells m_max * n_max are supported, got {m_max} * {n_max}\n"
+    )
+
+
 def test_audit_boxinf_clean(runner):
     result = invoke(
         runner, "audit", "boxinf", "--trials", "40", "--json"

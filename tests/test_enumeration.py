@@ -425,22 +425,39 @@ def test_bulk_evaluation_matches_exact_evaluation(seed):
 # valid_in_cells: one scan of world-row multisets against every cell
 
 
+def _multisets_by_top(m_max, n, nvars):
+    """Every multiset of n rows over L_m^nvars, m = m_max // 2 + 1 .. m_max
+    in order, as combinations_with_replacement lists them, and its m."""
+    return [
+        (multiset, m)
+        for m in range(m_max // 2 + 1, m_max + 1)
+        for multiset in itertools.combinations_with_replacement(
+            itertools.product(range(m, -1, -1), repeat=nvars), n
+        )
+    ]
+
+
+def _listed(grid, top):
+    n = grid.shape[1]
+    return [
+        (tuple(tuple(int(x) for x in grid[:, w, a]) for w in range(n)), int(top[0, a]))
+        for a in range(grid.shape[-1])
+    ]
+
+
 @pytest.mark.parametrize("m, n, nvars", [(1, 3, 2), (2, 2, 2), (3, 3, 1), (2, 3, 0)])
 def test_multiset_grids_list_every_multiset_of_rows_once(m, n, nvars, monkeypatch):
-    rows = list(itertools.product(range(m, -1, -1), repeat=nvars))
-    expected = list(itertools.combinations_with_replacement(rows, n))
+    expected = _multisets_by_top(m, n, nvars)
     # a cache too small for all chunks makes the second pass mix hits and misses
     monkeypatch.setattr(enumeration, "_GRIDS", enumeration._GridCache(max_bytes=600))
     for chunk in (enumeration._CHUNK, 1, 4, 7):
         monkeypatch.setattr(enumeration, "_CHUNK", chunk)
         for _ in range(2):
             got = []
-            for grid in enumeration._multiset_grids(m, n, nvars):
-                assert grid.shape[:2] == (nvars, n) and not grid.flags.writeable
-                got.extend(
-                    tuple(tuple(int(x) for x in grid[:, w, a]) for w in range(n))
-                    for a in range(grid.shape[-1])
-                )
+            for grid, top in enumeration._multiset_chunks(m, n, nvars):
+                assert grid.shape[:2] == (nvars, n) and top.shape == (1, grid.shape[-1])
+                assert not grid.flags.writeable and not top.flags.writeable
+                got.extend(_listed(grid, top))
             assert got == expected
 
 
@@ -448,19 +465,15 @@ def test_multiset_grids_list_every_multiset_of_rows_once(m, n, nvars, monkeypatc
 def test_multiset_chunks_decode_in_any_order(m, n, nvars, monkeypatch):
     # each chunk is unranked from its own indices, so chunks read backwards
     # and out of a cache that keeps one of them list the multisets as
-    # combinations_with_replacement does
-    rows = list(itertools.product(range(m, -1, -1), repeat=nvars))
-    expected = list(itertools.combinations_with_replacement(rows, n))
+    # combinations_with_replacement does, top after top
+    expected = _multisets_by_top(m, n, nvars)
     monkeypatch.setattr(enumeration, "_GRIDS", enumeration._GridCache(max_bytes=1))
     bounds = [(start, min(start + 97, len(expected))) for start in range(0, len(expected), 97)]
     got = {}
     for start, stop in reversed(bounds):
-        grid = enumeration._GRIDS.get(m, n, nvars, start, stop, multisets=True)
+        grid, top = enumeration._GRIDS.multisets(m, n, nvars, start, stop)
         assert grid.shape == (nvars, n, stop - start) and grid.flags.c_contiguous
-        got[start] = [
-            tuple(tuple(int(x) for x in grid[:, w, a]) for w in range(n))
-            for a in range(stop - start)
-        ]
+        got[start] = _listed(grid, top)
     assert [multiset for start, _ in bounds for multiset in got[start]] == expected
 
 
@@ -567,21 +580,22 @@ def test_valid_in_cells_without_cells():
 def test_multiset_cost_counts_what_valid_in_cells_scans(text, m_max, n_max, monkeypatch):
     formula = parse(text)
     nvars = len(variables(formula))
-    original = enumeration._multiset_grids
+    rows = min(n_max, enumeration.compile_claim((), formula).worlds)
+    original = enumeration._multiset_chunks
     grids = []
 
     def recorded(*args):
-        for grid in original(*args):
-            grids.append(grid)
-            yield grid
+        for grid, top in original(*args):
+            grids.append((grid, top))
+            yield grid, top
 
-    monkeypatch.setattr(enumeration, "_multiset_grids", recorded)
+    monkeypatch.setattr(enumeration, "_multiset_chunks", recorded)
     assert valid_in_cells([], formula, m_max, n_max)
-    nbytes = sum(grid.nbytes for grid in grids)
-    count = sum(grid.shape[-1] for grid in grids)
+    nbytes = sum(grid.nbytes + top.nbytes for grid, top in grids)
+    count = sum(grid.shape[-1] for grid, _ in grids)
     for max_bytes, cached in ((nbytes, True), (nbytes - 1, False)):
         monkeypatch.setattr(enumeration, "_GRIDS", enumeration._GridCache(max_bytes))
-        assert enumeration.multiset_cost(m_max, n_max, nvars) == (count, cached)
+        assert enumeration.multiset_cost(m_max, rows, nvars) == (count, cached)
 
 
 def test_multiset_cost_at_the_audit_bounds():
@@ -591,3 +605,70 @@ def test_multiset_cost_at_the_audit_bounds():
         comb(66, 3) + comb(127, 3) + comb(218, 3),
         False,
     )
+
+
+def test_multiset_chunks_span_tops_in_m_order(monkeypatch):
+    # m_max = 64: tops 33..64 share int16 grids, though L_33 .. L_63 alone
+    # would fit int8; chunks of 100 cut every top's multisets somewhere
+    expected = _multisets_by_top(64, 2, 1)
+    monkeypatch.setattr(enumeration, "_CHUNK", 100)
+    monkeypatch.setattr(enumeration, "_GRIDS", enumeration._GridCache(max_bytes=1 << 20))
+    chunks = list(enumeration._multiset_chunks(64, 2, 1))
+    assert all(grid.dtype == top.dtype == np.int16 for grid, top in chunks)
+    assert [len(_listed(*chunk)) for chunk in chunks[:-1]] == [100] * (len(chunks) - 1)
+    assert [entry for chunk in chunks for entry in _listed(*chunk)] == expected
+    spanning = [set(top[0].tolist()) for _, top in chunks if len(set(top[0].tolist())) > 1]
+    assert spanning and all(len(tops) == 2 for tops in spanning)
+
+
+@pytest.mark.parametrize(
+    "text, worlds",
+    [
+        ("p -> p", 1),
+        ("[]1 -> <>(0 /\\ 1)", 1),  # box and dia of constants fold away
+        ("[][]<>p", 2),  # so do box and dia of a world-independent value
+        ("[]p * []p -> <>p \\/ []p", 3),  # a shared op counts once
+        ("[](p -> q) -> ([]p -> []q)", 4),
+    ],
+)
+def test_world_bound_counts_distinct_modal_ops(text, worlds):
+    assert enumeration.compile_claim((), parse(text)).worlds == worlds
+
+
+def test_world_bound_is_tight():
+    # p -> []p needs a second world, where p is lower; the disjunction needs
+    # two more, one with p lower and one with p higher
+    one = enumeration.compile_claim((), parse("p -> []p"))
+    assert one.worlds == 2
+    assert not enumeration.multisets_clean(one, 1, 2)
+    both = enumeration.compile_claim((), parse("(p -> []p) \\/ (~p -> []~p)"))
+    assert both.worlds == 3
+    assert enumeration.multisets_clean(both, 2, 2)
+    assert not enumeration.multisets_clean(both, 2, 3)
+
+
+def test_world_bound_keeps_every_failure_of_seeded_claims():
+    # no hit in any cell m <= m_max, n <= n_max exactly when the multisets
+    # of min(n_max, worlds) rows are clean
+    rng = random.Random(22)
+    names = ("p", "q")
+    fewer = total = 0
+    for _ in range(600):
+        premises = tuple(random_formula(rng, names, 2) for _ in range(rng.randint(0, 1)))
+        target = random_formula(rng, names[: rng.randint(1, 2)], 3)
+        program = enumeration.compile_claim(premises, target)
+        failing = {
+            (m, n)
+            for m in range(1, 4)
+            for n in range(1, 5)
+            if enumeration.scan_program(program, m, n, 10**6, 0).found
+        }
+        for m_max in range(1, 4):
+            for n_max in range(1, 5):
+                expected = not any(m <= m_max and n <= n_max for m, n in failing)
+                assert enumeration.multisets_clean(program, m_max, n_max) == expected, (
+                    premises, target, m_max, n_max,
+                )
+                fewer += program.worlds < n_max
+                total += 1
+    assert 3 * fewer >= total

@@ -490,9 +490,11 @@ def test_axiom_audit_settles_clean_instances_by_row_multisets(m_max, n_max, monk
 def test_axiom_audit_settles_uncached_multisets_only_against_full_cells(
     cap, settles, monkeypatch
 ):
-    # with a 1 MB cache the 6.8 MB of 3-variable multisets at (4, 3) would be
-    # decoded anew for every instance; that pays off only when no cell is
-    # sampled (cap 10**7), not against the sampled cell (4, 3) at 10**6
+    # with a 64 KiB cache the 3-variable multisets at (4, 3), 70 KB on
+    # 2 worlds and 3.8 MB on 3, would be decoded anew for every instance;
+    # that pays off only when no cell is sampled (cap 10**7), not against
+    # the sampled cell (4, 3) at 10**6; the 2-variable ones, at most 26 KB,
+    # stay cached
     expected = axiom_soundness_audit(trials=2, seed=11, m_max=4, n_max=3, cap=cap).to_json()
     original = enumeration.multisets_clean
     settled = []
@@ -501,7 +503,7 @@ def test_axiom_audit_settles_uncached_multisets_only_against_full_cells(
         settled.append(len(program.names))
         return original(program, m_max, n_max)
 
-    monkeypatch.setattr(enumeration, "_GRIDS", enumeration._GridCache(max_bytes=1 << 20))
+    monkeypatch.setattr(enumeration, "_GRIDS", enumeration._GridCache(max_bytes=1 << 16))
     monkeypatch.setattr(enumeration, "multisets_clean", counted)
     report = axiom_soundness_audit(trials=2, seed=11, m_max=4, n_max=3, cap=cap).to_json()
     assert report == expected

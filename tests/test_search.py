@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from math import comb
@@ -15,6 +16,7 @@ from mmv.proofs import DEFAULT_AXIOMS, axiom_soundness_audit, width_schema
 from mmv.randgen import random_formula, random_instance, random_valuation
 from mmv.search import (
     EXHAUSTED_CAVEAT,
+    MAX_CELLS,
     SearchBudget,
     boxinf_conclusion,
     boxinf_premise,
@@ -27,7 +29,7 @@ from mmv.search import (
     star_power_formula,
 )
 from mmv.semantics import SafeStructure, evaluate, holds, is_model
-from mmv.syntax import parse, print_formula
+from mmv.syntax import InputError, parse, print_formula
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 ONE = Fraction(1)
@@ -352,11 +354,13 @@ def test_refute_settle_route_mutations_show_in_the_reports(per_cell_reports, mon
     cases = [(claim, budget) for claim in claims for budget in SETTLE_BUDGETS]
     hidden = []
     for ((premises, conclusion), budget), report, per_cell in zip(cases, got, expected):
-        nvars = len(enumeration.compile_claim(premises, conclusion).names)
-        cap = budget.valuation_cap
+        program = enumeration.compile_claim(premises, conclusion)
+        nvars, cap = len(program.names), budget.valuation_cap
         grid = [(m, n) for m in range(1, budget.m_max + 1) for n in range(1, budget.n_max + 1)]
         cells = sorted(grid, key=lambda cell: ((cell[0] + 1) ** (cell[1] * nvars), cell[1]))
-        route = _written_out_route(cells, nvars, cap, enumeration._GRIDS.max_bytes, False)
+        route = _written_out_route(
+            cells, nvars, cap, enumeration._GRIDS.max_bytes, False, program.worlds
+        )
         if route is None or per_cell["verdict"] == "exhausted" or per_cell["cells_visited"] == 1:
             assert report == per_cell
             continue
@@ -384,12 +388,16 @@ ROUTE_BOUNDS = [
 ]
 
 
-def _written_out_route(cells, nvars, cap, cache_bytes, audit):
-    """The cells scanned before the multiset pass, or None when none runs."""
+def _written_out_route(cells, nvars, cap, cache_bytes, audit, worlds):
+    """The cells scanned before the multiset pass, or None when none runs;
+    the pass takes multisets of min(n_max, worlds) rows, `worlds` being the
+    claim's world bound."""
     m_max, n_max = max(m for m, _ in cells), max(n for _, n in cells)
+    rows = min(n_max, worlds)
     tops = range(m_max // 2 + 1, m_max + 1)
-    multisets = sum(comb((m + 1) ** nvars + n_max - 1, n_max) for m in tops)
-    cached = multisets * nvars * n_max * 2 <= cache_bytes  # int16 grids
+    multisets = sum(comb((m + 1) ** nvars + rows - 1, rows) for m in tops)
+    # int8 grids and rows of tops at m_max <= 63
+    cached = multisets * (nvars * rows + 1) <= cache_bytes
     # the audit settles every cell; refute scans its first cell alone, and
     # the pass stands for the cells after it
     first = 0 if audit else 1
@@ -419,8 +427,12 @@ def test_multiset_route_is_the_written_out_rules(cap, cache_bytes, monkeypatch):
     monkeypatch.setattr(enumeration, "scan_program", scan)
     monkeypatch.setattr(enumeration, "multisets_clean", multiset_pass)
     seen = set()
-    for m_max, n_max, nvars in ROUTE_BOUNDS:
-        target = parse(" \\/ ".join("pqr"[:nvars]))
+    for (m_max, n_max, nvars), text in itertools.product(ROUTE_BOUNDS, ("[](x) \\/ <>(x)", "x")):
+        # a claim on 3 worlds takes multisets of n_max rows; one on 1 world
+        # takes single rows
+        target = parse(text.replace("x", " \\/ ".join("pqr"[:nvars])))
+        worlds = enumeration.compile_claim((), target).worlds
+        assert worlds == (3 if "[]" in text else 1)
         grid = [(m, n) for m in range(1, m_max + 1) for n in range(1, n_max + 1)]
         by_size = sorted(grid, key=lambda cell: ((cell[0] + 1) ** (cell[1] * nvars), cell[1]))
         covered = sum(min((m + 1) ** (n * nvars), cap) for m, n in grid)
@@ -435,7 +447,7 @@ def test_multiset_route_is_the_written_out_rules(cap, cache_bytes, monkeypatch):
                 else:
                     report = refute([], target, SearchBudget(m_max, n_max, cap))
                     assert report.cells == by_size and report.assignments == covered
-                before = _written_out_route(cells, nvars, cap, cache_bytes, audit)
+                before = _written_out_route(cells, nvars, cap, cache_bytes, audit, worlds)
                 if before is None:
                     expected = cells
                 else:
@@ -451,11 +463,12 @@ def test_multiset_route_is_the_written_out_rules(cap, cache_bytes, monkeypatch):
 
 
 def test_no_multiset_route_past_int64_ranks(monkeypatch):
-    # 21 variables at m, n <= 2: C(3**21 + 1, 2) >= 2**63 multisets, fewer
-    # than the assignments the cells check and, under a huge cache, cached;
-    # int64 ranks cannot index them, so the cells are scanned instead
+    # 21 variables at m, n <= 2, on 2 worlds: C(3**21 + 1, 2) >= 2**63
+    # multisets, fewer than the assignments the cells check and, under a
+    # huge cache, cached; int64 ranks cannot index them, so the cells are
+    # scanned instead
     nvars = 21
-    target = parse(" \\/ ".join(f"p{i}" for i in range(nvars)))
+    target = parse("[](" + " \\/ ".join(f"p{i}" for i in range(nvars)) + ")")
     cells = [(1, 1), (2, 1), (1, 2), (2, 2)]
     cap = 9**nvars - 1  # cell (2, 2) is sampled, the others are exhaustive
     monkeypatch.setattr(enumeration, "_GRIDS", enumeration._GridCache(1 << 80))
@@ -473,11 +486,12 @@ def test_no_multiset_route_past_int64_ranks(monkeypatch):
     monkeypatch.setattr(enumeration, "scan_program", scan)
     monkeypatch.setattr(enumeration, "multisets_clean", no_pass)
     program = enumeration.compile_claim((), target)
+    assert program.worlds == 2
     for settle_first in (False, True):
         got = scan_cells((), target, program, cells, cap, (0,), settle_first=settle_first)
         assert got == (covered, len(cells), None)
     with pytest.raises(ValueError, match="2\\*\\*63"):
-        next(enumeration._multiset_grids(2, 2, nvars))
+        next(enumeration._multiset_chunks(2, 2, nvars))
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +561,17 @@ def test_budget_validation(kwargs, message):
 
 def test_budget_allows_as_many_worlds_as_a_model():
     assert SearchBudget(n_max=MAX_WORLDS).n_max == MAX_WORLDS
+
+
+def test_budget_bounds_the_search_grid():
+    # 2**18 cells: as many worlds as a model at m_max = 4, or 70 chains on
+    # a few thousand worlds; one cell more is refused before any is listed
+    assert MAX_CELLS == 4 * MAX_WORLDS
+    assert SearchBudget(m_max=4, n_max=MAX_WORLDS).m_max == 4
+    assert SearchBudget(m_max=MAX_CELLS, n_max=1).m_max == MAX_CELLS
+    for m_max, n_max in ((5, MAX_WORLDS), (MAX_CELLS + 1, 1), (10**8, 3)):
+        with pytest.raises(InputError, match=f"got {m_max} \\* {n_max}$"):
+            SearchBudget(m_max=m_max, n_max=n_max)
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,7 @@ def compile_formulas(formulas: Sequence[Formula]) -> _Program:
     ops = [(_VAR, slot[op[1]], None) if op[0] == _VAR else op for op in ops]
     return _Program(
         names, tuple(ops), tuple(roots), tuple(tuple(run) for run in steps),
-        tuple(slots), width, tuple(flat),
+        tuple(slots), width, tuple(flat), 1 + sum(op[0] in (_BOX, _DIA) for op in ops),
     )
 
 _PREC_ATOM = 7
